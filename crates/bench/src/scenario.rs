@@ -78,7 +78,7 @@ use kcenter_data::DatasetSpec;
 use kcenter_mapreduce::{
     install_thread_budget, Executor, ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy,
 };
-use kcenter_metric::grid::{self, AssignChoice, AssignMode};
+use kcenter_metric::grid::{self, AssignChoice};
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{
     Distance, Euclidean, KernelBackend, KernelChoice, Manhattan, PointId, Precision, Scalar,
@@ -235,8 +235,8 @@ impl Value {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parsing (reports and JSON specs) — hand-rolled: the vendored serde
-// is a no-op marker stand-in and there is no serde_json in the tree.
+// JSON parsing (reports and JSON specs) — hand-rolled: the workspace has
+// no JSON library.
 // ---------------------------------------------------------------------------
 
 struct JsonParser<'a> {
@@ -822,7 +822,7 @@ impl IngestCellConfig {
             self.budget,
             self.precision.name(),
             kernel_label(self.kernel),
-            assign_label(self.assign),
+            self.assign.name(),
             self.fault.label(),
         )
     }
@@ -861,15 +861,6 @@ fn kernel_label(choice: KernelChoice) -> &'static str {
     }
 }
 
-/// Canonical name of an assignment-arm request.
-fn assign_label(choice: AssignChoice) -> &'static str {
-    match choice {
-        AssignChoice::Auto => "auto",
-        AssignChoice::Fixed(AssignMode::Dense) => "dense",
-        AssignChoice::Fixed(AssignMode::Grid) => "grid",
-    }
-}
-
 /// Canonical name of an executor request.
 fn executor_label(choice: ExecutorChoice) -> &'static str {
     match choice {
@@ -890,7 +881,7 @@ impl CellConfig {
             self.solver.name(),
             self.precision.name(),
             kernel_label(self.kernel),
-            assign_label(self.assign),
+            self.assign.name(),
             executor_label(self.executor),
             self.distance.name(),
             self.z,
@@ -1233,33 +1224,44 @@ fn parse_dataset(value: &Value) -> Result<DatasetSpec, ScenarioError> {
         .as_usize()
         .ok_or_else(|| invalid("dataset.n", "<non-integer>", "a positive integer"))?;
     let k_prime = opt_usize(value, "k_prime", 25)?;
-    match family.to_ascii_lowercase().as_str() {
-        "unif" => Ok(DatasetSpec::Unif { n }),
-        "gau" => Ok(DatasetSpec::Gau { n, k_prime }),
-        "unb" => Ok(DatasetSpec::Unb { n, k_prime }),
-        "poker" => Ok(DatasetSpec::PokerHand { n }),
-        "kdd" => Ok(DatasetSpec::KddCup { n }),
-        "exp" => Ok(DatasetSpec::Exp { n, k_prime }),
-        "dup" => Ok(DatasetSpec::Dup {
+    let spec = match family.to_ascii_lowercase().as_str() {
+        "unif" => DatasetSpec::Unif { n },
+        "gau" => DatasetSpec::Gau { n, k_prime },
+        "unb" => DatasetSpec::Unb { n, k_prime },
+        "poker" => DatasetSpec::PokerHand { n },
+        "kdd" => DatasetSpec::KddCup { n },
+        "exp" => DatasetSpec::Exp { n, k_prime },
+        "dup" => DatasetSpec::Dup {
             n,
             distinct: opt_usize(value, "distinct", 16)?,
-        }),
-        "gau-hd" => Ok(DatasetSpec::HighDim {
+        },
+        "gau-hd" => DatasetSpec::HighDim {
             n,
             k_prime,
             dim: opt_usize(value, "dim", 64)?,
-        }),
-        "gau+out" | "planted" => Ok(DatasetSpec::PlantedOutliers {
+        },
+        "gau+out" | "planted" => DatasetSpec::PlantedOutliers {
             n,
             k_prime,
             outliers: opt_usize(value, "planted", (n / 100).max(1))?,
-        }),
-        other => Err(invalid(
-            "dataset.family",
-            other,
-            "unif | gau | unb | poker | kdd | exp | dup | gau-hd | gau+out",
-        )),
-    }
+        },
+        other => {
+            return Err(invalid(
+                "dataset.family",
+                other,
+                "unif | gau | unb | poker | kdd | exp | dup | gau-hd | gau+out",
+            ))
+        }
+    };
+    // The planted-outlier count is spelled `planted` in the spec.
+    spec.check().map_err(|e| {
+        let key = match e.param {
+            "outliers" => "planted",
+            param => param,
+        };
+        invalid(&format!("dataset.{key}"), e.value, &e.expected)
+    })?;
+    Ok(spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -1389,18 +1391,22 @@ pub fn run_scenario_with(
     })
 }
 
+/// Resolves and installs a cell's kernel backend and assignment arm.
+fn install_dispatch(kernel: KernelChoice, assign: AssignChoice) -> Result<(), ScenarioError> {
+    let backend: KernelBackend = kernel
+        .resolve()
+        .map_err(|e| invalid("kernel", kernel_label(kernel), &e.to_string()))?;
+    simd::set_active(backend).map_err(|e| invalid("kernel", backend.name(), &e.to_string()))?;
+    grid::set_choice(assign);
+    Ok(())
+}
+
 fn run_one_cell(
     spec: &ScenarioSpec,
     cell: &CellConfig,
     id: String,
 ) -> Result<CellResult, ScenarioError> {
-    // Install the cell's dispatch state.
-    let backend: KernelBackend = cell
-        .kernel
-        .resolve()
-        .map_err(|e| invalid("kernel", kernel_label(cell.kernel), &e.to_string()))?;
-    simd::set_active(backend).map_err(|e| invalid("kernel", backend.name(), &e.to_string()))?;
-    grid::set_choice(cell.assign);
+    install_dispatch(cell.kernel, cell.assign)?;
     let executor = cell.executor.resolve(Some(spec.threads));
 
     // Monomorphise on (precision, distance) and run.
@@ -1415,7 +1421,7 @@ fn run_one_cell(
                 solver: cell.solver.name().to_string(),
                 precision: cell.precision.name().to_string(),
                 kernel: kernel_label(cell.kernel).to_string(),
-                assign: assign_label(cell.assign).to_string(),
+                assign: cell.assign.name().to_string(),
                 executor: executor_label(cell.executor).to_string(),
                 distance: cell.distance.name().to_string(),
                 z: cell.z,
@@ -1454,12 +1460,7 @@ fn run_ingest_cell(
     cell: &IngestCellConfig,
     id: String,
 ) -> Result<CellResult, ScenarioError> {
-    let backend: KernelBackend = cell
-        .kernel
-        .resolve()
-        .map_err(|e| invalid("kernel", kernel_label(cell.kernel), &e.to_string()))?;
-    simd::set_active(backend).map_err(|e| invalid("kernel", backend.name(), &e.to_string()))?;
-    grid::set_choice(cell.assign);
+    install_dispatch(cell.kernel, cell.assign)?;
     let start = Instant::now();
     let mut result = match cell.precision {
         Precision::F64 => ingest_cell_at::<f64>(spec, cell, &id),
@@ -1566,7 +1567,7 @@ fn ingest_cell_at<S: Scalar>(
         solver: "ingest".to_string(),
         precision: cell.precision.name().to_string(),
         kernel: kernel_label(cell.kernel).to_string(),
-        assign: assign_label(cell.assign).to_string(),
+        assign: cell.assign.name().to_string(),
         executor: "simulated".to_string(),
         distance: "euclidean".to_string(),
         z: 0,
@@ -2084,6 +2085,27 @@ k_prime = 3
             ScenarioSpec::parse("name = \"x\"\nk = 2\n[[dataset]]\nfamily = \"fractal\"\nn = 10\n")
                 .unwrap_err();
         assert!(matches!(err, ScenarioError::Invalid { ref what, .. } if what == "dataset.family"));
+        // Parameters the generators cannot honour name their key.
+        for (table, key) in [
+            ("family = \"gau\"\nn = 100\nk_prime = 0", "dataset.k_prime"),
+            ("family = \"unb\"\nn = 100\nk_prime = 0", "dataset.k_prime"),
+            (
+                "family = \"dup\"\nn = 100\ndistinct = 0",
+                "dataset.distinct",
+            ),
+            ("family = \"gau-hd\"\nn = 100\ndim = 0", "dataset.dim"),
+            (
+                "family = \"gau+out\"\nn = 100\nplanted = 500",
+                "dataset.planted",
+            ),
+        ] {
+            let err = ScenarioSpec::parse(&format!("name = \"x\"\nk = 2\n[[dataset]]\n{table}\n"))
+                .unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid { ref what, .. } if what == key),
+                "{table}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2166,7 +2188,7 @@ k_prime = 3
         // Budget defaults to 4 × coreset_size.
         assert_eq!(axes.budget, 48);
         assert_eq!(axes.kernel, KernelChoice::Fixed(KernelBackend::Scalar));
-        assert_eq!(axes.assign, AssignChoice::Fixed(AssignMode::Dense));
+        assert_eq!(axes.assign, AssignChoice::Fixed(grid::AssignMode::Dense));
 
         let cells = spec.ingest_cells();
         // 1 dataset × 1 precision × 2 batch counts × 2 faults.

@@ -71,7 +71,7 @@ impl SolverChoice {
     }
 }
 
-/// Fault-injection options shared by `solve` and `sweep`.
+/// Fault-injection options, part of the shared [`RunArgs`] group.
 ///
 /// A run is fault-free unless `--fault-plan FILE` (an explicit schedule or
 /// seeded plan in the [`kcenter_mapreduce::FaultPlan::parse_text`] format)
@@ -145,6 +145,84 @@ impl FaultArgs {
     }
 }
 
+/// Run settings shared by `solve`, `sweep` and `ingest`: storage
+/// precision, the dispatch requests and fault injection.  Each `None`
+/// request defers to its `KCENTER_*` environment variable when the command
+/// runs, then to the default.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunArgs {
+    /// Storage precision for the coordinate store: `f32` halves the scan
+    /// bandwidth (the covering radius is still certified in `f64`).
+    pub precision: Precision,
+    /// Kernel backend request (`--kernel auto|scalar|portable|avx2`);
+    /// `None` defers to `KCENTER_KERNEL`.
+    pub kernel: Option<KernelChoice>,
+    /// Assignment-arm request (`--assign auto|dense|grid`); `None` defers
+    /// to `KCENTER_ASSIGN`.
+    pub assign: Option<AssignChoice>,
+    /// Cluster-executor request (`--executor simulated|threads`); `None`
+    /// defers to `KCENTER_EXECUTOR`.
+    pub executor: Option<ExecutorChoice>,
+    /// Worker-thread budget (`--threads N`); `None` defers to
+    /// `KCENTER_THREADS`, then to the host's available parallelism.
+    pub threads: Option<usize>,
+    /// Fault-injection options (inactive by default).
+    pub faults: FaultArgs,
+}
+
+impl RunArgs {
+    /// Consumes one `--flag value` pair if it is a run flag; returns
+    /// whether the pair was consumed.  Unknown names surface the named
+    /// selection-error messages of the metric and mapreduce crates.
+    fn consume(&mut self, flag: &str, value: &str) -> Result<bool, ParseError> {
+        if self.faults.consume(flag, value)? {
+            return Ok(true);
+        }
+        match flag {
+            "--precision" => {
+                self.precision = Precision::parse(value).ok_or_else(|| {
+                    ParseError(format!(
+                        "invalid value {value:?} for --precision (expected f32 or f64)"
+                    ))
+                })?
+            }
+            "--kernel" => {
+                self.kernel = Some(
+                    KernelChoice::parse(value)
+                        .map_err(|e| ParseError(format!("invalid value for --kernel: {e}")))?,
+                )
+            }
+            "--assign" => {
+                self.assign = Some(
+                    AssignChoice::parse(value)
+                        .map_err(|e| ParseError(format!("invalid value for --assign: {e}")))?,
+                )
+            }
+            "--executor" => {
+                self.executor = Some(
+                    ExecutorChoice::parse(value)
+                        .map_err(|e| ParseError(format!("invalid value for --executor: {e}")))?,
+                )
+            }
+            "--threads" => match value.parse::<usize>() {
+                Ok(n) if n >= 1 => self.threads = Some(n),
+                _ => {
+                    return Err(ParseError(format!(
+                        "invalid value {value:?} for --threads (expected an integer >= 1)"
+                    )))
+                }
+            },
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Cross-flag validation after all pairs are consumed.
+    fn validate(&self) -> Result<(), ParseError> {
+        self.faults.validate()
+    }
+}
+
 /// Arguments of the `solve` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveArgs {
@@ -167,28 +245,13 @@ pub struct SolveArgs {
     /// Optional path to write the per-point assignment to
     /// (`--assign-out OUT.csv`).
     pub assignment_out: Option<String>,
-    /// Storage precision for the coordinate store: `f32` halves the scan
-    /// bandwidth (the covering radius is still certified in `f64`).
-    pub precision: Precision,
-    /// Kernel backend request (`--kernel auto|scalar|portable|avx2`);
-    /// `None` defers to the `KCENTER_KERNEL` environment variable.
-    pub kernel: Option<KernelChoice>,
-    /// Assignment-arm request (`--assign auto|dense|grid`); `None` defers
-    /// to the `KCENTER_ASSIGN` environment variable.
-    pub assign: Option<AssignChoice>,
-    /// Cluster-executor request (`--executor simulated|threads`); `None`
-    /// defers to the `KCENTER_EXECUTOR` environment variable.
-    pub executor: Option<ExecutorChoice>,
-    /// Worker-thread budget (`--threads N`); `None` defers to the
-    /// `KCENTER_THREADS` environment variable, then to the host's
-    /// available parallelism.
-    pub threads: Option<usize>,
     /// With-outliers objective: additionally certify the radius over the
     /// `n − z` kept points after dropping the `z` farthest (`--outliers Z`;
     /// 0 disables the extra report).
     pub outliers: usize,
-    /// Fault-injection options (inactive by default).
-    pub faults: FaultArgs,
+    /// Precision, dispatch and fault-injection settings (fault injection
+    /// needs `mrg` or `eim`).
+    pub run: RunArgs,
 }
 
 /// Which builder the `sweep` subcommand uses for its one-off coreset.
@@ -248,27 +311,12 @@ pub struct SweepArgs {
     pub epsilon: f64,
     /// Seed for all sampling randomness.
     pub seed: u64,
-    /// Storage precision of the coordinate store.
-    pub precision: Precision,
-    /// Kernel backend request (`--kernel auto|scalar|portable|avx2`);
-    /// `None` defers to the `KCENTER_KERNEL` environment variable.
-    pub kernel: Option<KernelChoice>,
-    /// Assignment-arm request (`--assign auto|dense|grid`); `None` defers
-    /// to the `KCENTER_ASSIGN` environment variable.
-    pub assign: Option<AssignChoice>,
-    /// Cluster-executor request (`--executor simulated|threads`); `None`
-    /// defers to the `KCENTER_EXECUTOR` environment variable.
-    pub executor: Option<ExecutorChoice>,
-    /// Worker-thread budget (`--threads N`); `None` defers to the
-    /// `KCENTER_THREADS` environment variable, then to the host's
-    /// available parallelism.
-    pub threads: Option<usize>,
     /// Whether to run the per-cell EIM reruns the sweep amortises away
     /// (disable to time the coreset path alone).
     pub baseline: bool,
-    /// Fault-injection options (inactive by default; applied to the
-    /// coreset build rounds).
-    pub faults: FaultArgs,
+    /// Precision, dispatch and fault-injection settings (faults apply to
+    /// the coreset build rounds).
+    pub run: RunArgs,
 }
 
 /// Arguments of the `ingest` subcommand: the durable streaming coreset
@@ -296,19 +344,10 @@ pub struct IngestArgs {
     pub k: usize,
     /// Checkpoint file path.
     pub checkpoint: String,
-    /// Storage precision of the coordinate store.
-    pub precision: Precision,
-    /// Kernel backend request; `None` defers to `KCENTER_KERNEL`.
-    pub kernel: Option<KernelChoice>,
-    /// Assignment-arm request; `None` defers to `KCENTER_ASSIGN`.
-    pub assign: Option<AssignChoice>,
-    /// Cluster-executor request; `None` defers to `KCENTER_EXECUTOR`.
-    pub executor: Option<ExecutorChoice>,
-    /// Worker-thread budget; `None` defers to `KCENTER_THREADS`.
-    pub threads: Option<usize>,
-    /// Fault-injection options for the batch builds (dropped shards are
-    /// healed by re-ingestion from the stream, not disclosed as lost).
-    pub faults: FaultArgs,
+    /// Precision, dispatch and fault-injection settings (faults apply to
+    /// the batch builds; dropped shards are healed by re-ingestion from
+    /// the stream, not disclosed as lost).
+    pub run: RunArgs,
     /// Deterministic crash injection: die at `--kill-stage` of batch
     /// `--kill-after-batch` (composes with `--fault-seed`).
     pub kill: Option<KillPoint>,
@@ -515,11 +554,6 @@ fn parse_generate(args: &[String]) -> Result<GenerateArgs, ParseError> {
     let n = n.ok_or_else(|| ParseError("generate requires --n".into()))?;
     let output = output.ok_or_else(|| ParseError("generate requires --out".into()))?;
     let spec = match family.to_ascii_lowercase().as_str() {
-        "unif" => DatasetSpec::Unif { n },
-        "gau" => DatasetSpec::Gau { n, k_prime },
-        "unb" => DatasetSpec::Unb { n, k_prime },
-        "poker" => DatasetSpec::PokerHand { n },
-        "kdd" => DatasetSpec::KddCup { n },
         "exp" => DatasetSpec::Exp { n, k_prime },
         "dup" => DatasetSpec::Dup { n, distinct },
         "gau-hd" => DatasetSpec::HighDim { n, k_prime, dim },
@@ -529,14 +563,18 @@ fn parse_generate(args: &[String]) -> Result<GenerateArgs, ParseError> {
             // Default: 1% planted outliers, at least one.
             outliers: outliers.unwrap_or_else(|| (n / 100).max(1)),
         },
-        other => return Err(ParseError(format!("unknown workload family {other:?}"))),
+        _ => parse_family_spec(family, n, k_prime)?,
     };
     if outliers.is_some() && !matches!(spec, DatasetSpec::PlantedOutliers { .. }) {
         return Err(ParseError(
             "--outliers only applies to the gau+out (planted) family".into(),
         ));
     }
-    Ok(GenerateArgs { spec, seed, output })
+    Ok(GenerateArgs {
+        spec: checked(spec)?,
+        seed,
+        output,
+    })
 }
 
 fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
@@ -554,15 +592,10 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
     let mut seed: u64 = 0;
     let mut skip_columns: usize = 0;
     let mut assignment_out: Option<String> = None;
-    let mut precision = Precision::default();
-    let mut kernel: Option<KernelChoice> = None;
-    let mut assign: Option<AssignChoice> = None;
-    let mut executor: Option<ExecutorChoice> = None;
-    let mut threads: Option<usize> = None;
     let mut outliers: usize = 0;
-    let mut faults = FaultArgs::default();
+    let mut run = RunArgs::default();
     for (flag, value) in &flags {
-        if faults.consume(flag, value)? {
+        if run.consume(flag, value)? {
             continue;
         }
         match flag.as_str() {
@@ -574,22 +607,20 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
             "--seed" => seed = parse_number(flag, value)?,
             "--skip-columns" => skip_columns = parse_number(flag, value)?,
             "--assign-out" => assignment_out = Some(value.clone()),
-            "--precision" => {
-                precision = Precision::parse(value).ok_or_else(|| {
-                    ParseError(format!(
-                        "invalid value {value:?} for --precision (expected f32 or f64)"
-                    ))
-                })?
-            }
-            "--kernel" => kernel = Some(parse_kernel(value)?),
-            "--assign" => assign = Some(parse_assign(value)?),
-            "--executor" => executor = Some(parse_executor(value)?),
-            "--threads" => threads = Some(parse_threads(value)?),
             "--outliers" => outliers = parse_number(flag, value)?,
             other => return Err(ParseError(format!("unknown flag {other:?} for solve"))),
         }
     }
-    faults.validate()?;
+    run.validate()?;
+    if run.faults.is_active()
+        && matches!(algorithm, SolverChoice::Gon | SolverChoice::HochbaumShmoys)
+    {
+        return Err(ParseError(
+            "fault injection targets the MapReduce algorithms; \
+             use mrg or eim (gon and hs run sequentially)"
+                .into(),
+        ));
+    }
     Ok(SolveArgs {
         algorithm,
         input: input.ok_or_else(|| ParseError("solve requires --input".into()))?,
@@ -600,43 +631,9 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
         seed,
         skip_columns,
         assignment_out,
-        precision,
-        kernel,
-        assign,
-        executor,
-        threads,
         outliers,
-        faults,
+        run,
     })
-}
-
-/// Parses a `--kernel` value; unknown names surface the named
-/// [`kcenter_metric::KernelSelectError`] message.
-fn parse_kernel(value: &str) -> Result<KernelChoice, ParseError> {
-    KernelChoice::parse(value).map_err(|e| ParseError(format!("invalid value for --kernel: {e}")))
-}
-
-/// Parses an `--assign` value; unknown names surface the named
-/// [`kcenter_metric::AssignSelectError`] message.
-fn parse_assign(value: &str) -> Result<AssignChoice, ParseError> {
-    AssignChoice::parse(value).map_err(|e| ParseError(format!("invalid value for --assign: {e}")))
-}
-
-/// Parses an `--executor` value; unknown names surface the named
-/// [`kcenter_mapreduce::ExecutorSelectError`] message.
-fn parse_executor(value: &str) -> Result<ExecutorChoice, ParseError> {
-    ExecutorChoice::parse(value)
-        .map_err(|e| ParseError(format!("invalid value for --executor: {e}")))
-}
-
-/// Parses a `--threads` value (a positive integer).
-fn parse_threads(value: &str) -> Result<usize, ParseError> {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(ParseError(format!(
-            "invalid value {value:?} for --threads (expected an integer >= 1)"
-        ))),
-    }
 }
 
 /// Parses a comma-separated list of numbers for flags like `--ks 5,10,25`.
@@ -668,15 +665,10 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
     let mut epsilon: f64 = 0.1;
     let mut seed: u64 = 0;
     let mut skip_columns: usize = 0;
-    let mut precision = Precision::default();
-    let mut kernel: Option<KernelChoice> = None;
-    let mut assign: Option<AssignChoice> = None;
-    let mut executor: Option<ExecutorChoice> = None;
-    let mut threads: Option<usize> = None;
     let mut baseline = true;
-    let mut faults = FaultArgs::default();
+    let mut run = RunArgs::default();
     for (flag, value) in &flags {
-        if faults.consume(flag, value)? {
+        if run.consume(flag, value)? {
             continue;
         }
         match flag.as_str() {
@@ -698,17 +690,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
             "--epsilon" => epsilon = parse_number(flag, value)?,
             "--seed" => seed = parse_number(flag, value)?,
             "--skip-columns" => skip_columns = parse_number(flag, value)?,
-            "--precision" => {
-                precision = Precision::parse(value).ok_or_else(|| {
-                    ParseError(format!(
-                        "invalid value {value:?} for --precision (expected f32 or f64)"
-                    ))
-                })?
-            }
-            "--kernel" => kernel = Some(parse_kernel(value)?),
-            "--assign" => assign = Some(parse_assign(value)?),
-            "--executor" => executor = Some(parse_executor(value)?),
-            "--threads" => threads = Some(parse_threads(value)?),
             "--baseline" => {
                 baseline = match value.to_ascii_lowercase().as_str() {
                     "on" | "true" | "yes" => true,
@@ -723,7 +704,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
             other => return Err(ParseError(format!("unknown flag {other:?} for sweep"))),
         }
     }
-    faults.validate()?;
+    run.validate()?;
     let source = match (input, family) {
         (Some(_), Some(_)) => {
             return Err(ParseError(
@@ -733,7 +714,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
         (Some(path), None) => SweepSource::Csv { path, skip_columns },
         (None, Some(fam)) => {
             let n = n.ok_or_else(|| ParseError("sweep --family requires --n".into()))?;
-            SweepSource::Generated(parse_family_spec(&fam, n, k_prime)?)
+            SweepSource::Generated(checked(parse_family_spec(&fam, n, k_prime)?)?)
         }
         (None, None) => {
             return Err(ParseError(
@@ -750,17 +731,12 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
         machines,
         epsilon,
         seed,
-        precision,
-        kernel,
-        assign,
-        executor,
-        threads,
         baseline,
-        faults,
+        run,
     })
 }
 
-/// Parses a generated-workload family shared by `sweep` and `ingest`.
+/// Parses a workload family shared by `generate`, `sweep` and `ingest`.
 fn parse_family_spec(fam: &str, n: usize, k_prime: usize) -> Result<DatasetSpec, ParseError> {
     match fam.to_ascii_lowercase().as_str() {
         "unif" => Ok(DatasetSpec::Unif { n }),
@@ -769,6 +745,20 @@ fn parse_family_spec(fam: &str, n: usize, k_prime: usize) -> Result<DatasetSpec,
         "poker" => Ok(DatasetSpec::PokerHand { n }),
         "kdd" => Ok(DatasetSpec::KddCup { n }),
         other => Err(ParseError(format!("unknown workload family {other:?}"))),
+    }
+}
+
+/// Rejects workload parameters the generators cannot honour, naming the
+/// flag, instead of letting generation panic.
+fn checked(spec: DatasetSpec) -> Result<DatasetSpec, ParseError> {
+    match spec.check() {
+        Ok(()) => Ok(spec),
+        Err(e) => Err(ParseError(format!(
+            "invalid value {} for --{} (expected {})",
+            e.value,
+            e.param.replace('_', "-"),
+            e.expected
+        ))),
     }
 }
 
@@ -784,18 +774,13 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
     let mut machines: usize = 10;
     let mut k: Option<usize> = None;
     let mut checkpoint: Option<String> = None;
-    let mut precision = Precision::default();
-    let mut kernel: Option<KernelChoice> = None;
-    let mut assign: Option<AssignChoice> = None;
-    let mut executor: Option<ExecutorChoice> = None;
-    let mut threads: Option<usize> = None;
-    let mut faults = FaultArgs::default();
+    let mut run = RunArgs::default();
     let mut kill_after_batch: Option<usize> = None;
     let mut kill_stage: Option<KillStage> = None;
     let mut queries: Vec<Vec<f64>> = Vec::new();
     let mut report: Option<String> = None;
     for (flag, value) in &flags {
-        if faults.consume(flag, value)? {
+        if run.consume(flag, value)? {
             continue;
         }
         match flag.as_str() {
@@ -809,17 +794,6 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
             "--machines" => machines = parse_number(flag, value)?,
             "--k" => k = Some(parse_number(flag, value)?),
             "--checkpoint" => checkpoint = Some(value.clone()),
-            "--precision" => {
-                precision = Precision::parse(value).ok_or_else(|| {
-                    ParseError(format!(
-                        "invalid value {value:?} for --precision (expected f32 or f64)"
-                    ))
-                })?
-            }
-            "--kernel" => kernel = Some(parse_kernel(value)?),
-            "--assign" => assign = Some(parse_assign(value)?),
-            "--executor" => executor = Some(parse_executor(value)?),
-            "--threads" => threads = Some(parse_threads(value)?),
             "--kill-after-batch" => kill_after_batch = Some(parse_number(flag, value)?),
             "--kill-stage" => {
                 kill_stage = Some(KillStage::parse(value).ok_or_else(|| {
@@ -834,10 +808,10 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
             other => return Err(ParseError(format!("unknown flag {other:?} for ingest"))),
         }
     }
-    faults.validate()?;
+    run.validate()?;
     let fam = family.ok_or_else(|| ParseError("ingest requires --family".into()))?;
     let n = n.ok_or_else(|| ParseError("ingest requires --n".into()))?;
-    let spec = parse_family_spec(&fam, n, k_prime)?;
+    let spec = checked(parse_family_spec(&fam, n, k_prime)?)?;
     let batches = batches.ok_or_else(|| ParseError("ingest requires --batches".into()))?;
     if coreset_size == 0 {
         return Err(ParseError(
@@ -872,12 +846,7 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
         machines,
         k: k.ok_or_else(|| ParseError("ingest requires --k".into()))?,
         checkpoint: checkpoint.ok_or_else(|| ParseError("ingest requires --checkpoint".into()))?,
-        precision,
-        kernel,
-        assign,
-        executor,
-        threads,
-        faults,
+        run,
         kill,
         queries,
         report,
@@ -953,6 +922,24 @@ mod tests {
         assert!(parse(&argv("generate unif --out x.csv")).is_err());
         assert!(parse(&argv("generate unif --n 10")).is_err());
         assert!(parse(&argv("generate martian --n 10 --out x.csv")).is_err());
+        // Parameters the generators cannot honour are named errors, not
+        // panics.
+        for (cmd, flag) in [
+            ("generate gau --n 100 --k-prime 0 --out e.csv", "--k-prime"),
+            ("generate exp --n 100 --k-prime 48 --out e.csv", "--k-prime"),
+            (
+                "generate dup --n 100 --distinct 0 --out e.csv",
+                "--distinct",
+            ),
+            ("generate gau-hd --n 100 --dim 0 --out e.csv", "--dim"),
+            (
+                "generate gau+out --n 100 --outliers 500 --out e.csv",
+                "--outliers",
+            ),
+        ] {
+            let err = parse(&argv(cmd)).unwrap_err();
+            assert!(err.0.contains(flag), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -1034,7 +1021,7 @@ mod tests {
                 assert_eq!(s.phi, 8.0);
                 assert_eq!(s.epsilon, 0.1);
                 assert_eq!(s.assignment_out, None);
-                assert_eq!(s.precision, Precision::F64);
+                assert_eq!(s.run.precision, Precision::F64);
             }
             _ => panic!("expected solve"),
         }
@@ -1051,7 +1038,7 @@ mod tests {
                 assert_eq!(s.seed, 9);
                 assert_eq!(s.skip_columns, 1);
                 assert_eq!(s.assignment_out.as_deref(), Some("a.csv"));
-                assert_eq!(s.precision, Precision::F32);
+                assert_eq!(s.run.precision, Precision::F32);
             }
             _ => panic!("expected solve"),
         }
@@ -1080,132 +1067,152 @@ mod tests {
         assert!(err.to_string().contains("--precision"));
     }
 
-    #[test]
-    fn kernel_flag_parses_every_backend_and_rejects_unknown_names() {
-        use kcenter_metric::KernelBackend;
-        let cases = [
-            ("auto", KernelChoice::Auto),
-            ("scalar", KernelChoice::Fixed(KernelBackend::Scalar)),
-            ("portable", KernelChoice::Fixed(KernelBackend::Portable)),
-            ("AVX2", KernelChoice::Fixed(KernelBackend::Avx2)),
-        ];
-        for (name, want) in cases {
-            let cli = parse(&argv(&format!(
-                "solve gon --input x.csv --k 2 --kernel {name}"
-            )))
-            .unwrap();
-            match cli.command {
-                Command::Solve(s) => assert_eq!(s.kernel, Some(want), "{name}"),
-                _ => panic!("expected solve"),
+    /// The three subcommands that carry the shared run-settings group.
+    const RUN_COMMANDS: [&str; 3] = [
+        "solve mrg --input x.csv --k 2",
+        "sweep --input a.csv --ks 2",
+        "ingest --family gau --n 100 --batches 2 --k 2 --checkpoint c",
+    ];
+
+    fn run_of(cmd: &str) -> Result<RunArgs, ParseError> {
+        Ok(match parse(&argv(cmd))?.command {
+            Command::Solve(s) => s.run,
+            Command::Sweep(s) => s.run,
+            Command::Ingest(i) => i.run,
+            other => panic!("expected solve, sweep or ingest, got {other:?}"),
+        })
+    }
+
+    fn run_with(
+        kernel: Option<KernelChoice>,
+        assign: Option<AssignChoice>,
+        executor: Option<ExecutorChoice>,
+        threads: Option<usize>,
+    ) -> RunArgs {
+        RunArgs {
+            kernel,
+            assign,
+            executor,
+            threads,
+            ..RunArgs::default()
+        }
+    }
+
+    /// Parses every `good` flag string to its run group and every `bad` one
+    /// to a named error quoting the listed words, on each of `commands`.
+    fn check_run_flags(commands: &[&str], good: &[(&str, RunArgs)], bad: &[(&str, &[&str])]) {
+        for command in commands {
+            for (flags, want) in good {
+                let run = run_of(&format!("{command} {flags}")).unwrap();
+                assert_eq!(run, *want, "{command} {flags}");
+            }
+            for (flags, words) in bad {
+                let err = run_of(&format!("{command} {flags}")).unwrap_err();
+                for word in *words {
+                    assert!(err.0.contains(word), "{command} {flags}: {err}");
+                }
             }
         }
-        // Absent flag defers to the environment variable.
-        let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
-        match cli.command {
-            Command::Solve(s) => assert_eq!(s.kernel, None),
-            _ => panic!("expected solve"),
-        }
-        // Unknown override is a named error.
-        let err = parse(&argv("solve gon --input x.csv --k 2 --kernel warp9")).unwrap_err();
-        assert!(err.to_string().contains("--kernel"));
-        assert!(err.to_string().contains("warp9"));
-        let err = parse(&argv("sweep --input a.csv --ks 2 --kernel turbo")).unwrap_err();
-        assert!(err.to_string().contains("--kernel"));
-        assert!(err.to_string().contains("turbo"));
+    }
+
+    #[test]
+    fn run_flags_parse_on_every_subcommand() {
+        let f32_run = RunArgs {
+            precision: Precision::F32,
+            ..RunArgs::default()
+        };
+        // Absent flags leave every request to the environment variables.
+        check_run_flags(
+            &RUN_COMMANDS,
+            &[("", RunArgs::default()), ("--precision f32", f32_run)],
+            &[("--precision f16", &["--precision", "f16"])],
+        );
+    }
+
+    #[test]
+    fn kernel_flag_parses_every_backend_and_rejects_unknown_names() {
+        use kcenter_metric::KernelBackend::{Avx2, Portable, Scalar};
+        let k = |b| run_with(Some(KernelChoice::Fixed(b)), None, None, None);
+        check_run_flags(
+            &RUN_COMMANDS,
+            &[
+                ("", run_with(None, None, None, None)),
+                (
+                    "--kernel auto",
+                    run_with(Some(KernelChoice::Auto), None, None, None),
+                ),
+                ("--kernel scalar", k(Scalar)),
+                ("--kernel portable", k(Portable)),
+                ("--kernel AVX2", k(Avx2)),
+            ],
+            &[
+                ("--kernel warp9", &["--kernel", "warp9"]),
+                ("--kernel turbo", &["--kernel", "turbo"]),
+            ],
+        );
     }
 
     #[test]
     fn assign_flag_parses_every_arm_and_rejects_unknown_names() {
-        use kcenter_metric::AssignMode;
-        let cases = [
-            ("auto", AssignChoice::Auto),
-            ("dense", AssignChoice::Fixed(AssignMode::Dense)),
-            ("GRID", AssignChoice::Fixed(AssignMode::Grid)),
-        ];
-        for (name, want) in cases {
-            let cli = parse(&argv(&format!(
-                "solve gon --input x.csv --k 2 --assign {name}"
-            )))
-            .unwrap();
-            match cli.command {
-                Command::Solve(s) => assert_eq!(s.assign, Some(want), "{name}"),
-                _ => panic!("expected solve"),
-            }
-        }
-        // Absent flag defers to the environment variable.
-        let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
-        match cli.command {
-            Command::Solve(s) => assert_eq!(s.assign, None),
-            _ => panic!("expected solve"),
-        }
-        // Unknown override is a named error, on both subcommands.
-        let err = parse(&argv("solve gon --input x.csv --k 2 --assign octree")).unwrap_err();
-        assert!(err.to_string().contains("--assign"));
-        assert!(err.to_string().contains("octree"));
-        let err = parse(&argv("sweep --input a.csv --ks 2 --assign kdtree")).unwrap_err();
-        assert!(err.to_string().contains("--assign"));
-        assert!(err.to_string().contains("kdtree"));
-        // The assignment-output flag is distinct from the arm pin.
-        let cli = parse(&argv(
-            "sweep --input a.csv --ks 2 --assign grid --kernel scalar",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Sweep(s) => assert_eq!(s.assign, Some(AssignChoice::Fixed(AssignMode::Grid))),
-            _ => panic!("expected sweep"),
-        }
+        use kcenter_metric::AssignMode::{Dense, Grid};
+        use kcenter_metric::KernelBackend::Scalar;
+        let a = |m| run_with(None, Some(AssignChoice::Fixed(m)), None, None);
+        check_run_flags(
+            &RUN_COMMANDS,
+            &[
+                ("", run_with(None, None, None, None)),
+                (
+                    "--assign auto",
+                    run_with(None, Some(AssignChoice::Auto), None, None),
+                ),
+                ("--assign dense", a(Dense)),
+                ("--assign GRID", a(Grid)),
+                // The arm pin combines with a kernel pin.
+                (
+                    "--assign grid --kernel scalar",
+                    run_with(
+                        Some(KernelChoice::Fixed(Scalar)),
+                        Some(AssignChoice::Fixed(Grid)),
+                        None,
+                        None,
+                    ),
+                ),
+            ],
+            &[
+                ("--assign octree", &["--assign", "octree"]),
+                ("--assign kdtree", &["--assign", "kdtree"]),
+            ],
+        );
     }
 
     #[test]
     fn executor_flags_parse_and_reject_unknown_values() {
-        let cli = parse(&argv(
-            "solve gon --input x.csv --k 2 --executor threads --threads 4",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Solve(s) => {
-                assert_eq!(s.executor, Some(ExecutorChoice::Threads));
-                assert_eq!(s.threads, Some(4));
-            }
-            _ => panic!("expected solve"),
-        }
-        let cli = parse(&argv("sweep --input a.csv --ks 2 --executor SIMULATED")).unwrap();
-        match cli.command {
-            Command::Sweep(s) => {
-                assert_eq!(s.executor, Some(ExecutorChoice::Simulated));
-                assert_eq!(s.threads, None);
-            }
-            _ => panic!("expected sweep"),
-        }
-        // Absent flags defer to the environment variables.
-        let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
-        match cli.command {
-            Command::Solve(s) => {
-                assert_eq!(s.executor, None);
-                assert_eq!(s.threads, None);
-            }
-            _ => panic!("expected solve"),
-        }
-        // Unknown executor names and bad thread counts are named errors.
-        let err = parse(&argv("solve gon --input x.csv --k 2 --executor gpu")).unwrap_err();
-        assert!(err.to_string().contains("--executor"));
-        assert!(err.to_string().contains("gpu"));
-        let err = parse(&argv("solve gon --input x.csv --k 2 --threads 0")).unwrap_err();
-        assert!(err.to_string().contains("--threads"));
-        let err = parse(&argv("sweep --input a.csv --ks 2 --threads many")).unwrap_err();
-        assert!(err.to_string().contains("--threads"));
+        check_run_flags(
+            &RUN_COMMANDS,
+            &[
+                ("", run_with(None, None, None, None)),
+                (
+                    "--executor SIMULATED",
+                    run_with(None, None, Some(ExecutorChoice::Simulated), None),
+                ),
+                (
+                    "--executor threads --threads 4",
+                    run_with(None, None, Some(ExecutorChoice::Threads), Some(4)),
+                ),
+            ],
+            &[
+                ("--executor gpu", &["--executor", "gpu"]),
+                ("--threads 0", &["--threads"]),
+                ("--threads many", &["--threads"]),
+            ],
+        );
     }
 
     #[test]
     fn sweep_kernel_flag_parses() {
-        use kcenter_metric::KernelBackend;
-        let cli = parse(&argv("sweep --input a.csv --ks 2 --kernel scalar")).unwrap();
-        match cli.command {
-            Command::Sweep(s) => {
-                assert_eq!(s.kernel, Some(KernelChoice::Fixed(KernelBackend::Scalar)))
-            }
-            _ => panic!("expected sweep"),
-        }
+        use kcenter_metric::KernelBackend::Scalar;
+        let run = run_of("sweep --input a.csv --ks 2 --kernel scalar").unwrap();
+        assert_eq!(run.kernel, Some(KernelChoice::Fixed(Scalar)));
     }
 
     #[test]
@@ -1251,7 +1258,7 @@ mod tests {
                 assert_eq!(s.coreset_size, 0);
                 assert_eq!(s.machines, 50);
                 assert!(s.baseline);
-                assert_eq!(s.precision, Precision::F64);
+                assert_eq!(s.run.precision, Precision::F64);
             }
             _ => panic!("expected sweep"),
         }
@@ -1277,7 +1284,7 @@ mod tests {
                 assert_eq!(s.epsilon, 0.13);
                 assert_eq!(s.seed, 3);
                 assert!(!s.baseline);
-                assert_eq!(s.precision, Precision::F32);
+                assert_eq!(s.run.precision, Precision::F32);
             }
             _ => panic!("expected sweep"),
         }
@@ -1290,6 +1297,8 @@ mod tests {
         assert!(parse(&argv("sweep --input a.csv --family unif --n 10 --ks 2")).is_err());
         assert!(parse(&argv("sweep --family unif --ks 2")).is_err());
         assert!(parse(&argv("sweep --family martian --n 10 --ks 2")).is_err());
+        let err = parse(&argv("sweep --family gau --n 1000 --k-prime 0 --ks 5")).unwrap_err();
+        assert!(err.0.contains("--k-prime"), "{err}");
         // Missing or malformed grids.
         assert!(parse(&argv("sweep --input a.csv")).is_err());
         assert!(parse(&argv("sweep --input a.csv --ks two")).is_err());
@@ -1340,7 +1349,7 @@ mod tests {
         match cli.command {
             Command::Solve(s) => {
                 assert_eq!(
-                    s.faults,
+                    s.run.faults,
                     FaultArgs {
                         plan_file: None,
                         fault_seed: Some(42),
@@ -1348,7 +1357,7 @@ mod tests {
                         degrade: true,
                     }
                 );
-                assert!(s.faults.is_active());
+                assert!(s.run.faults.is_active());
             }
             _ => panic!("expected solve"),
         }
@@ -1358,16 +1367,16 @@ mod tests {
         .unwrap();
         match cli.command {
             Command::Sweep(s) => {
-                assert_eq!(s.faults.plan_file.as_deref(), Some("plan.txt"));
-                assert_eq!(s.faults.fault_seed, None);
-                assert!(!s.faults.degrade);
+                assert_eq!(s.run.faults.plan_file.as_deref(), Some("plan.txt"));
+                assert_eq!(s.run.faults.fault_seed, None);
+                assert!(!s.run.faults.degrade);
             }
             _ => panic!("expected sweep"),
         }
         // Fault-free by default.
         let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
         match cli.command {
-            Command::Solve(s) => assert!(!s.faults.is_active()),
+            Command::Solve(s) => assert!(!s.run.faults.is_active()),
             _ => panic!("expected solve"),
         }
     }
@@ -1394,6 +1403,15 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.to_string().contains("--degrade"));
+        // Sequential solvers reject fault injection by name, before any
+        // input is loaded.
+        for solver in ["gon", "hs"] {
+            let err = parse(&argv(&format!(
+                "solve {solver} --input x.csv --k 2 --fault-seed 1"
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("mrg or eim"));
+        }
     }
 
     #[test]
@@ -1427,11 +1445,11 @@ mod tests {
                 assert_eq!(i.machines, 10);
                 assert_eq!(i.k, 5);
                 assert_eq!(i.checkpoint, "state.ckpt");
-                assert_eq!(i.precision, Precision::F64);
+                assert_eq!(i.run.precision, Precision::F64);
                 assert_eq!(i.kill, None);
                 assert!(i.queries.is_empty());
                 assert_eq!(i.report, None);
-                assert!(!i.faults.is_active());
+                assert!(!i.run.faults.is_active());
             }
             _ => panic!("expected ingest"),
         }
@@ -1451,9 +1469,9 @@ mod tests {
                 assert_eq!(i.budget, 48);
                 assert_eq!(i.machines, 5);
                 assert_eq!(i.k, 3);
-                assert_eq!(i.precision, Precision::F32);
-                assert_eq!(i.faults.fault_seed, Some(7));
-                assert!(i.faults.degrade);
+                assert_eq!(i.run.precision, Precision::F32);
+                assert_eq!(i.run.faults.fault_seed, Some(7));
+                assert!(i.run.faults.degrade);
                 assert_eq!(
                     i.kill,
                     Some(KillPoint {
@@ -1523,6 +1541,11 @@ mod tests {
             "ingest --family martian --n 100 --batches 2 --k 2 --checkpoint c"
         ))
         .is_err());
+        let err = parse(&argv(
+            "ingest --family unb --n 1000 --k-prime 0 --batches 2 --k 2 --checkpoint c",
+        ))
+        .unwrap_err();
+        assert!(err.0.contains("--k-prime"), "{err}");
         // Fault flags validate exactly as on solve/sweep.
         assert!(parse(&argv(
             "ingest --family gau --n 100 --batches 2 --k 2 --checkpoint c --degrade on"

@@ -96,10 +96,9 @@ use kcenter_mapreduce::{
 use kcenter_metric::distance::Distance;
 use kcenter_metric::grid::{self, RelaxGridCache, SpatialGrid};
 use kcenter_metric::{Euclidean, FlatPoints, MetricSpace, PointId, Scalar, VecSpace};
-use serde::{Deserialize, Serialize};
 
 /// Which construction produced a coreset (recorded as provenance metadata).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoresetBuilder {
     /// Farthest-point traversal to `t` representatives (possibly built as
     /// per-reducer local coresets merged in a second round).
@@ -135,7 +134,7 @@ impl CoresetBuilder {
 /// certificate is always explicitly a statement about
 /// `covered_source_len` surviving points, never silently about the full
 /// input.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoresetCoverage {
     /// Number of source points the construction radius certifies.
     pub covered_source_len: usize,
@@ -453,7 +452,7 @@ impl<D: Distance, S: Scalar> std::fmt::Debug for WeightedCoreset<D, S> {
 
 /// A k-center solution selected on a [`WeightedCoreset`], carrying its
 /// quality certificate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoresetSolution {
     /// The number of centers that was requested.
     pub k: usize,
@@ -511,7 +510,7 @@ impl CoresetSolution {
 /// certification round in both cases.  All rounds are labelled with the
 /// `"coreset"` prefix so [`JobStats::num_rounds_labelled`] can prove the
 /// build happened exactly once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GonzalezCoresetConfig {
     /// Number of representatives `t` to keep (the certificate's `r_t`
     /// shrinks as `t` grows).

@@ -18,10 +18,9 @@ use crate::solution::KCenterSolution;
 use kcenter_metric::grid::{self, GridRelaxer, RelaxGridCache};
 use kcenter_metric::space::is_identity_subset;
 use kcenter_metric::{MetricSpace, PointId, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// How GON chooses its (arbitrary) first center.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FirstCenter {
     /// Use the point at this position within the subset being clustered
     /// (position 0 by default — the paper's implementation style).
@@ -68,7 +67,7 @@ impl FirstCenter {
 /// assert_eq!(solution.centers.len(), 2);
 /// assert!(solution.radius <= 1.0 + 1e-9); // one center per obvious pair
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GonzalezConfig {
     /// Number of centers to select.
     pub k: usize,

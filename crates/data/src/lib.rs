@@ -28,7 +28,7 @@ pub mod spec;
 pub mod synthetic;
 
 pub use real::{KddCupSim, PokerHandSim};
-pub use spec::{DatasetSpec, GeneratedDataset};
+pub use spec::{DatasetSpec, GeneratedDataset, SpecError};
 pub use synthetic::{
     DupGenerator, ExpGenerator, GauGenerator, PlantedOutlierGenerator, UnbGenerator, UnifGenerator,
 };

@@ -12,10 +12,26 @@ use crate::synthetic::{
 };
 use crate::PointGenerator;
 use kcenter_metric::{Euclidean, FlatPoints, Point, Scalar, VecSpace};
-use serde::{Deserialize, Serialize};
+
+/// Largest EXP `k'`: [`ExpGenerator::new`] spreads its clusters over
+/// `2^(k'-1)` unit bases and refuses spreads beyond `1e14`.
+const EXP_MAX_K_PRIME: usize = 47;
+
+/// A [`DatasetSpec`] parameter the generators cannot honour (see
+/// [`DatasetSpec::check`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The offending field: `"k_prime"`, `"distinct"`, `"dim"` or
+    /// `"outliers"`.
+    pub param: &'static str,
+    /// Its value.
+    pub value: usize,
+    /// What the generators need instead, e.g. `"at least 1"`.
+    pub expected: String,
+}
 
 /// A declarative description of one of the paper's workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DatasetSpec {
     /// UNIF: `n` points uniform in a two-dimensional square.
     Unif {
@@ -114,6 +130,36 @@ impl DatasetSpec {
             | DatasetSpec::HighDim { n, .. }
             | DatasetSpec::PlantedOutliers { n, .. } => n,
         }
+    }
+
+    /// Checks the parameters the generators would otherwise panic on, so
+    /// callers can reject user input by name before generating.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let (param, value, expected) = match *self {
+            DatasetSpec::Gau { k_prime: 0, .. }
+            | DatasetSpec::Unb { k_prime: 0, .. }
+            | DatasetSpec::Exp { k_prime: 0, .. }
+            | DatasetSpec::HighDim { k_prime: 0, .. }
+            | DatasetSpec::PlantedOutliers { k_prime: 0, .. } => {
+                ("k_prime", 0, "at least 1".to_string())
+            }
+            DatasetSpec::Exp { k_prime, .. } if k_prime > EXP_MAX_K_PRIME => (
+                "k_prime",
+                k_prime,
+                format!("at most {EXP_MAX_K_PRIME} for EXP"),
+            ),
+            DatasetSpec::Dup { distinct: 0, .. } => ("distinct", 0, "at least 1".to_string()),
+            DatasetSpec::HighDim { dim: 0, .. } => ("dim", 0, "at least 1".to_string()),
+            DatasetSpec::PlantedOutliers { n, outliers, .. } if outliers > n => {
+                ("outliers", outliers, format!("at most n = {n}"))
+            }
+            _ => return Ok(()),
+        };
+        Err(SpecError {
+            param,
+            value,
+            expected,
+        })
     }
 
     /// Returns a copy of the spec scaled to `round(n * factor)` points,
@@ -275,6 +321,50 @@ impl<S: Scalar> GeneratedDataset<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_rejects_exactly_what_the_generators_panic_on() {
+        let bad = [
+            DatasetSpec::Gau { n: 10, k_prime: 0 },
+            DatasetSpec::Unb { n: 10, k_prime: 0 },
+            DatasetSpec::Exp { n: 10, k_prime: 0 },
+            DatasetSpec::Exp {
+                n: 10,
+                k_prime: EXP_MAX_K_PRIME + 1,
+            },
+            DatasetSpec::Dup { n: 10, distinct: 0 },
+            DatasetSpec::HighDim {
+                n: 10,
+                k_prime: 2,
+                dim: 0,
+            },
+            DatasetSpec::PlantedOutliers {
+                n: 10,
+                k_prime: 2,
+                outliers: 11,
+            },
+        ];
+        for spec in bad {
+            let err = spec.check().unwrap_err();
+            let panicked = std::panic::catch_unwind(|| spec.generate_flat(1)).is_err();
+            assert!(panicked, "{spec:?} passes the generators yet fails {err:?}");
+        }
+        let edge = [
+            DatasetSpec::Exp {
+                n: 10,
+                k_prime: EXP_MAX_K_PRIME,
+            },
+            DatasetSpec::PlantedOutliers {
+                n: 10,
+                k_prime: 1,
+                outliers: 10,
+            },
+        ];
+        for spec in edge {
+            assert_eq!(spec.check(), Ok(()));
+            spec.generate_flat(1);
+        }
+    }
 
     #[test]
     fn spec_reports_family_and_size() {

@@ -49,15 +49,6 @@ pub struct Cluster {
     executor: Executor,
 }
 
-/// The historical name of [`Cluster`]: a cluster whose default executor
-/// simulates the machines sequentially.  Kept as an alias so existing
-/// call sites read naturally when they mean the paper's simulated mode.
-pub type SimulatedCluster = Cluster;
-
-/// A [`Cluster`] intended to run with [`Executor::Threads`] — construct
-/// one with [`Cluster::threaded`] or [`Cluster::with_executor`].
-pub type ThreadedCluster = Cluster;
-
 /// The outputs of a degradable round: one `Some(output)` per surviving
 /// partition, `None` for each shard that exhausted its attempts, plus the
 /// provenance of every dropped shard.
@@ -703,7 +694,7 @@ mod tests {
 
     #[test]
     fn run_round_returns_outputs_in_partition_order() {
-        let mut cluster = SimulatedCluster::new(config(4, 100));
+        let mut cluster = Cluster::new(config(4, 100));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3], vec![4, 5, 6]];
         let sums = cluster
             .run_round("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
@@ -723,7 +714,7 @@ mod tests {
 
     #[test]
     fn run_round_rejects_empty_input() {
-        let mut cluster = SimulatedCluster::new(config(2, 10));
+        let mut cluster = Cluster::new(config(2, 10));
         let err = cluster
             .run_round::<u32, u32, _, _>("x", &[], |_, _| 0, |_| 0)
             .unwrap_err();
@@ -732,7 +723,7 @@ mod tests {
 
     #[test]
     fn run_round_rejects_too_many_partitions() {
-        let mut cluster = SimulatedCluster::new(config(2, 10));
+        let mut cluster = Cluster::new(config(2, 10));
         let parts = vec![vec![1], vec![2], vec![3]];
         let err = cluster
             .run_round("x", &parts, |_, xs: &[i32]| xs.len(), |_| 0)
@@ -748,7 +739,7 @@ mod tests {
 
     #[test]
     fn run_round_enforces_capacity() {
-        let mut cluster = SimulatedCluster::new(config(2, 2));
+        let mut cluster = Cluster::new(config(2, 2));
         let parts = vec![vec![1, 2, 3]];
         let err = cluster
             .run_round("x", &parts, |_, xs: &[i32]| xs.len(), |_| 0)
@@ -765,7 +756,7 @@ mod tests {
 
     #[test]
     fn unchecked_cluster_ignores_capacity() {
-        let mut cluster = SimulatedCluster::unchecked(config(2, 2));
+        let mut cluster = Cluster::unchecked(config(2, 2));
         assert!(!cluster.enforces_capacity());
         let parts = vec![vec![1, 2, 3, 4, 5]];
         let out = cluster
@@ -777,7 +768,7 @@ mod tests {
 
     #[test]
     fn run_single_funnels_everything_to_one_reducer() {
-        let mut cluster = SimulatedCluster::new(config(8, 100));
+        let mut cluster = Cluster::new(config(8, 100));
         let total = cluster
             .run_single(
                 "final",
@@ -792,7 +783,7 @@ mod tests {
 
     #[test]
     fn check_fits_detects_undersized_cluster() {
-        let cluster = SimulatedCluster::new(config(2, 3));
+        let cluster = Cluster::new(config(2, 3));
         assert!(cluster.check_fits(6).is_ok());
         assert_eq!(
             cluster.check_fits(7).unwrap_err(),
@@ -805,7 +796,7 @@ mod tests {
 
     #[test]
     fn simulated_time_is_at_most_sequential_time() {
-        let mut cluster = SimulatedCluster::new(config(8, 100_000));
+        let mut cluster = Cluster::new(config(8, 100_000));
         let items: Vec<u64> = (0..80_000).collect();
         let parts = partition::chunks(&items, 8);
         cluster
@@ -823,7 +814,7 @@ mod tests {
 
     #[test]
     fn multi_round_job_accumulates_stats() {
-        let mut cluster = SimulatedCluster::new(config(4, 1000));
+        let mut cluster = Cluster::new(config(4, 1000));
         let items: Vec<u64> = (0..1000).collect();
         let parts = partition::chunks(&items, 4);
         let partials = cluster
@@ -841,7 +832,7 @@ mod tests {
 
     #[test]
     fn reducer_index_is_passed_through() {
-        let mut cluster = SimulatedCluster::new(config(3, 10));
+        let mut cluster = Cluster::new(config(3, 10));
         let parts = vec![vec![0u8], vec![0u8], vec![0u8]];
         let ids = cluster.run_round("ids", &parts, |i, _| i, |_| 0).unwrap();
         assert_eq!(ids, vec![0, 1, 2]);
@@ -849,7 +840,7 @@ mod tests {
 
     #[test]
     fn round_index_matches_job_position() {
-        let mut cluster = SimulatedCluster::new(config(2, 10));
+        let mut cluster = Cluster::new(config(2, 10));
         for _ in 0..3 {
             cluster
                 .run_round("r", &[vec![1u8]], |_, xs| xs.len(), |_| 0)
@@ -869,8 +860,7 @@ mod tests {
             attempt: 0,
             kind: FaultKind::Crash,
         }]);
-        let mut cluster =
-            SimulatedCluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
+        let mut cluster = Cluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3, 4], vec![5]];
         let sums = cluster
             .run_round("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
@@ -895,7 +885,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan).with_policy(FaultPolicy::with_max_attempts(2));
-        let mut cluster = SimulatedCluster::new(config(2, 100)).with_fault_injection(faults);
+        let mut cluster = Cluster::new(config(2, 100)).with_fault_injection(faults);
         let err = cluster
             .run_round("sum", &[vec![1u64]], |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap_err();
@@ -922,8 +912,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let mut cluster =
-            SimulatedCluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
+        let mut cluster = Cluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3, 4, 5], vec![6]];
         let out = cluster
             .run_round_degradable("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
@@ -953,7 +942,7 @@ mod tests {
             kind: FaultKind::Straggle { factor: 100.0 },
         }]);
         let mut cluster =
-            SimulatedCluster::new(config(2, 100_000)).with_fault_injection(FaultConfig::new(plan));
+            Cluster::new(config(2, 100_000)).with_fault_injection(FaultConfig::new(plan));
         let items: Vec<u64> = (0..40_000).collect();
         let parts = partition::chunks(&items, 2);
         let sums = cluster
@@ -988,7 +977,7 @@ mod tests {
             },
             speculation: None,
         };
-        let mut cluster = SimulatedCluster::new(config(2, 100))
+        let mut cluster = Cluster::new(config(2, 100))
             .with_fault_injection(FaultConfig::new(plan).with_policy(policy));
         cluster
             .run_round("sum", &[vec![1u64]], |_, xs| xs.iter().sum::<u64>(), |_| 1)
@@ -1006,7 +995,7 @@ mod tests {
         // 0's output every time.
         let faults = FaultConfig::new(FaultPlan::explicit(vec![]))
             .with_policy(FaultPolicy::with_max_attempts(2));
-        let mut cluster = SimulatedCluster::new(config(2, 100)).with_fault_injection(faults);
+        let mut cluster = Cluster::new(config(2, 100)).with_fault_injection(faults);
         let err = cluster
             .run_round_validated(
                 "sum",
@@ -1042,7 +1031,7 @@ mod tests {
             backoff: crate::faults::Backoff::NONE,
             speculation: Some(crate::faults::Speculation { threshold: 2.0 }),
         };
-        let mut cluster = SimulatedCluster::new(config(4, 100_000))
+        let mut cluster = Cluster::new(config(4, 100_000))
             .with_fault_injection(FaultConfig::new(plan).with_policy(policy));
         let items: Vec<u64> = (0..80_000).collect();
         let parts = partition::chunks(&items, 4);
@@ -1139,14 +1128,14 @@ mod tests {
         let parts = partition::chunks(&items, 8);
         let reduce = |_: usize, xs: &[u64]| xs.iter().map(|x| x.wrapping_mul(31)).sum::<u64>();
 
-        let mut clean = SimulatedCluster::new(config(8, 10_000));
+        let mut clean = Cluster::new(config(8, 10_000));
         let clean_out = clean.run_round("sum", &parts, reduce, |_| 1).unwrap();
 
         // Default seeded rates with a deep attempt budget: every partition
         // succeeds eventually, outputs must match bit-for-bit.
         let faults = FaultConfig::new(FaultPlan::seeded(1234))
             .with_policy(FaultPolicy::with_max_attempts(64));
-        let mut chaotic = SimulatedCluster::new(config(8, 10_000)).with_fault_injection(faults);
+        let mut chaotic = Cluster::new(config(8, 10_000)).with_fault_injection(faults);
         let chaotic_out = chaotic.run_round("sum", &parts, reduce, |_| 1).unwrap();
         assert_eq!(clean_out, chaotic_out);
     }

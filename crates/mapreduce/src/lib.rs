@@ -45,7 +45,7 @@ pub mod faults;
 pub mod partition;
 pub mod stats;
 
-pub use cluster::{Cluster, DegradableOutputs, SimulatedCluster, ThreadedCluster};
+pub use cluster::{Cluster, DegradableOutputs};
 pub use config::ClusterConfig;
 pub use error::MapReduceError;
 pub use executor::{

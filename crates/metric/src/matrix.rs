@@ -20,7 +20,6 @@
 //! scan error.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::scalar::Scalar;
@@ -28,7 +27,7 @@ use crate::space::MetricSpace;
 
 /// A dense symmetric `n × n` matrix of pairwise distances with a zero
 /// diagonal, stored as a packed upper triangle at storage precision `S`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct DistanceMatrix<S: Scalar = f64> {
     n: usize,
     /// Packed strict upper triangle, row-major: entry `(i, j)` with `i < j`
