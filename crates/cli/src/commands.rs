@@ -7,7 +7,7 @@ use crate::args::{
 use kcenter_bench::scenario::{center_digest, CellResult, ScenarioReport};
 use kcenter_core::evaluate::{assign, cluster_sizes};
 use kcenter_core::prelude::*;
-use kcenter_data::csv::{load_points, save_points, CsvOptions};
+use kcenter_data::csv::{load_coords, save_points, CsvOptions};
 use kcenter_mapreduce::{
     install_thread_budget, threads_from_env, Cluster, ClusterConfig, DegradedRun, Executor,
     ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy, JobStats,
@@ -119,24 +119,25 @@ fn load_space<S: Scalar>(
         skip_trailing_columns: skip_columns,
         ..Default::default()
     };
-    let points = load_points(Path::new(path), &options)?;
-    // The flat store rejects coordinates beyond the storage scalar's safe
-    // magnitude (squared distances would overflow) with a panic on the
-    // `from_points` path; surface a named error to the CLI user instead.
-    for p in &points {
-        if let Some(&c) = p.coords().iter().find(|c| c.abs() > S::MAX_ABS_COORD) {
-            return Err(invalid(
-                "precision",
-                format!(
-                    "coordinate {c} exceeds the {} storage limit {:e}; \
-                     rerun with --precision f64",
-                    S::NAME,
-                    S::MAX_ABS_COORD
-                ),
-            ));
-        }
+    let (coords, dim) = load_coords(Path::new(path), &options, rayon::current_num_threads())?;
+    // Coordinates beyond the storage scalar's safe magnitude would overflow
+    // squared distances; name the first one (as parsed, before rounding)
+    // instead of handing the flat store a value it rejects.
+    if let Some(&c) = coords.iter().find(|c| c.abs() > S::MAX_ABS_COORD) {
+        return Err(invalid(
+            "precision",
+            format!(
+                "coordinate {c} exceeds the {} storage limit {:e}; \
+                 rerun with --precision f64",
+                S::NAME,
+                S::MAX_ABS_COORD
+            ),
+        ));
     }
-    Ok(VecSpace::from_flat(FlatPoints::from_points(&points)))
+    // At f64 the map is the identity and `collect` reuses the buffer.
+    let flat = FlatPoints::from_coords(coords.into_iter().map(S::from_f64).collect(), dim)
+        .map_err(|e| invalid("precision", e))?;
+    Ok(VecSpace::from_flat(flat))
 }
 
 /// The settings [`apply_run`] resolved and installed for one command.
