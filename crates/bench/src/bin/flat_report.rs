@@ -5,8 +5,8 @@
 //! Usage: `cargo run --release -p kcenter-bench --bin flat_report [out.json]`
 //!
 //! Each configuration is warmed up, then measured as the best-of-`REPEATS`
-//! wall time of one full scan (relax + argmax over all n points), matching
-//! the `bench_flat` Criterion bench.  Both `Vec<Point>` baselines are kept
+//! wall time of one full scan (relax + argmax over all n points).  Both
+//! `Vec<Point>` baselines are kept
 //! (ROADMAP "heap-layout honesty"): *fresh* heaps allocate the per-point
 //! Vecs sequentially — the allocator best case — while *aged* heaps shuffle
 //! the allocation order the way parallel generators and long-lived

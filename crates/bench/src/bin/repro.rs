@@ -9,29 +9,35 @@
 //!
 //! `--scale 1.0` reproduces the paper's workload sizes (up to a million
 //! points); smaller scales shrink every `n` proportionally so the full suite
-//! finishes quickly while keeping the qualitative shape.
+//! finishes quickly while keeping the qualitative shape.  `--repeats R`
+//! averages every cell over seeds `S..S+R`, regenerating the data for each.
+//! Every cell runs through the scenario runner; `KCENTER_KERNEL` and
+//! `KCENTER_ASSIGN` pick the kernel backend and assignment arm.
+//!
+//! Exit status: 0 on success, 1 on a run or output error, 2 on a usage
+//! error.
 
-use kcenter_bench::experiments::{all_experiments, find_experiment, run_experiment, RunOptions};
-use kcenter_bench::report::{render_all, render_result};
-use std::io::Write;
+use kcenter_bench::experiments::{
+    all_experiments, find_experiment, run_experiment, Experiment, RunOptions,
+};
+use kcenter_bench::report::render_all;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(command) = args.first() else {
         print_usage();
-        std::process::exit(2);
-    }
-
-    let command = args[0].clone();
+        return ExitCode::from(2);
+    };
     if command == "list" {
         for e in all_experiments() {
             println!("{:10}  {}", e.id, e.title);
         }
-        return;
+        return ExitCode::SUCCESS;
     }
     if command == "--help" || command == "-h" || command == "help" {
         print_usage();
-        return;
+        return ExitCode::SUCCESS;
     }
 
     let (options, out_path) = match parse_options(&args[1..]) {
@@ -39,38 +45,51 @@ fn main() {
         Err(msg) => {
             eprintln!("error: {msg}");
             print_usage();
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
-
-    let output = if command == "all" {
-        let results: Vec<_> = all_experiments()
-            .iter()
-            .map(|e| {
-                eprintln!("running {} ...", e.id);
-                run_experiment(e, options)
-            })
-            .collect();
-        render_all(&results)
+    let experiments = if command == "all" {
+        all_experiments()
     } else {
-        match find_experiment(&command) {
-            Some(e) => render_result(&run_experiment(&e, options)),
+        match find_experiment(command) {
+            Some(e) => vec![e],
             None => {
                 eprintln!("error: unknown experiment {command:?}; use `repro list`");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
     };
 
+    match run(&experiments, options, out_path) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Runs the experiments and prints the rendered tables, or writes them to
+/// `out_path`.
+fn run(
+    experiments: &[Experiment],
+    options: RunOptions,
+    out_path: Option<String>,
+) -> Result<(), String> {
+    let mut results = Vec::with_capacity(experiments.len());
+    for e in experiments {
+        eprintln!("running {} ...", e.id);
+        results.push(run_experiment(e, options).map_err(|err| format!("{}: {err}", e.id))?);
+    }
+    let output = render_all(&results);
     match out_path {
         Some(path) => {
-            let mut f = std::fs::File::create(&path).expect("cannot create output file");
-            f.write_all(output.as_bytes())
-                .expect("cannot write output file");
+            std::fs::write(&path, output).map_err(|e| format!("cannot write {path:?}: {e}"))?;
             eprintln!("wrote {path}");
         }
         None => print!("{output}"),
     }
+    Ok(())
 }
 
 fn parse_options(args: &[String]) -> Result<(RunOptions, Option<String>), String> {
@@ -85,8 +104,10 @@ fn parse_options(args: &[String]) -> Result<(RunOptions, Option<String>), String
         match flag {
             "--scale" => {
                 options.scale = value
-                    .parse()
-                    .map_err(|_| format!("bad --scale {value:?}"))?
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|f| f.is_finite() && *f > 0.0)
+                    .ok_or_else(|| format!("--scale {value:?} is not a positive number"))?
             }
             "--machines" => {
                 options.machines = value
@@ -105,9 +126,6 @@ fn parse_options(args: &[String]) -> Result<(RunOptions, Option<String>), String
             other => return Err(format!("unknown flag {other:?}")),
         }
         i += 2;
-    }
-    if options.scale <= 0.0 {
-        return Err("--scale must be positive".to_string());
     }
     if options.machines == 0 || options.repeats == 0 {
         return Err("--machines and --repeats must be at least 1".to_string());

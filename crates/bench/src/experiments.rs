@@ -21,9 +21,14 @@
 //! (up to a million points) can be shrunk proportionally for CI runs while
 //! keeping the same shape; `scale = 1.0` reproduces the published sizes.
 
-use crate::measure::{run_averaged, Algorithm, MeasureConfig, Measurement};
-use kcenter_core::cost_model;
+use crate::scenario::{
+    invalid, run_scenario, CellResult, DistanceKind, FaultSpec, ScenarioError, ScenarioSpec,
+    SolverKind,
+};
+use kcenter_core::cost_model::{self, RoundCount};
 use kcenter_data::DatasetSpec;
+use kcenter_mapreduce::{host_parallelism, ExecutorChoice};
+use kcenter_metric::{AssignChoice, KernelChoice, Precision, ASSIGN_ENV, KERNEL_ENV};
 
 /// The values of `k` used by the paper's tables (Tables 2–7).
 pub const TABLE_KS: [usize; 6] = [2, 5, 10, 25, 50, 100];
@@ -37,6 +42,13 @@ pub const PHIS: [f64; 4] = [1.0, 4.0, 6.0, 8.0];
 
 /// The n sweep of Figure 4 (10,000 through 1,000,000).
 pub const FIGURE4_NS: [usize; 5] = [10_000, 50_000, 100_000, 500_000, 1_000_000];
+
+/// The three algorithms compared in Tables 2–5 and Figures 1–4, in column
+/// order.
+const PAPER_TRIO: [SolverKind; 3] = [SolverKind::Mrg, SolverKind::Eim, SolverKind::Gon];
+
+/// EIM's ε throughout the paper's evaluation.
+const EPSILON: f64 = 0.1;
 
 /// What an experiment measures.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +90,86 @@ pub enum ExperimentKind {
     },
 }
 
+impl ExperimentKind {
+    /// Column headers: the algorithm labels, the φ values of a φ sweep, or
+    /// Table 1's three analytic columns.
+    fn columns(&self) -> Vec<String> {
+        match self {
+            ExperimentKind::Theory => vec![
+                "alpha".to_string(),
+                "rounds".to_string(),
+                "predicted ops".to_string(),
+            ],
+            ExperimentKind::PhiSweep { phis, .. } => {
+                phis.iter().map(|p| format!("phi={p}")).collect()
+            }
+            _ => PAPER_TRIO
+                .iter()
+                .map(|s| s.name().to_ascii_uppercase())
+                .collect(),
+        }
+    }
+
+    /// What the cells hold.
+    fn metric(&self) -> Metric {
+        match self {
+            ExperimentKind::Theory => Metric::Theory,
+            ExperimentKind::SolutionValueVsK { .. } => Metric::Value,
+            ExperimentKind::RuntimeVsK { .. } | ExperimentKind::RuntimeVsN { .. } => {
+                Metric::Runtime
+            }
+            ExperimentKind::PhiSweep { report_runtime, .. } => {
+                if *report_runtime {
+                    Metric::Runtime
+                } else {
+                    Metric::Value
+                }
+            }
+        }
+    }
+}
+
+/// What the cells of an experiment result hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// The paper's solution value: the certified covering radius.
+    Value,
+    /// The paper's runtime in seconds: for MRG and EIM the simulated time
+    /// (the slowest machine of each round, summed over rounds), for GON the
+    /// wall clock of the sequential solve.
+    Runtime,
+    /// Table 1's analytic columns: approximation factor, MapReduce rounds
+    /// and predicted operation count.
+    Theory,
+}
+
+impl Metric {
+    /// The metric line printed above a table.
+    pub fn describe(self) -> &'static str {
+        match self {
+            Metric::Value => "solution value (covering radius)",
+            Metric::Runtime => {
+                "runtime in seconds (MRG/EIM: max simulated machine time per round; \
+                 GON: wall clock of the sequential solve)"
+            }
+            Metric::Theory => {
+                "theoretical at n = 1,000,000, k = 25, eps = 0.1 and m machines: \
+                 approximation factor, MapReduce rounds (EIM: O(1/eps) at unit constant), \
+                 dominant-term operation count"
+            }
+        }
+    }
+
+    /// The cell value this metric reads from one scenario cell.
+    fn read(self, cell: &CellResult) -> f64 {
+        match self {
+            Metric::Runtime if cell.solver == SolverKind::Gon.name() => cell.wall_ns as f64 / 1e9,
+            Metric::Runtime => cell.simulated_ns as f64 / 1e9,
+            Metric::Value | Metric::Theory => cell.radius,
+        }
+    }
+}
+
 /// One experiment of the paper's evaluation section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
@@ -94,8 +186,8 @@ pub struct Experiment {
 pub struct ResultRow {
     /// The sweep coordinate (`k`, `n`, or `φ` rendered as text).
     pub coordinate: String,
-    /// One measurement per algorithm column.
-    pub measurements: Vec<Measurement>,
+    /// One value per column, averaged over the repeats.
+    pub cells: Vec<f64>,
 }
 
 /// The outcome of running one experiment.
@@ -107,9 +199,8 @@ pub struct ExperimentResult {
     pub title: String,
     /// Column headers (algorithm labels, or φ values for the φ sweeps).
     pub columns: Vec<String>,
-    /// Whether the cells hold runtimes (seconds) rather than solution
-    /// values.
-    pub is_runtime: bool,
+    /// What the cells hold.
+    pub metric: Metric,
     /// The rows, in sweep order.
     pub rows: Vec<ResultRow>,
     /// The scale factor the workloads were shrunk by (1.0 = paper size).
@@ -123,7 +214,8 @@ pub struct RunOptions {
     pub scale: f64,
     /// Number of simulated machines (the paper uses 50).
     pub machines: usize,
-    /// Number of runs to average per configuration.
+    /// Number of runs to average per configuration; repeat `r` uses seed
+    /// `seed + r` for both the data and the algorithms.
     pub repeats: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -292,159 +384,172 @@ pub fn find_experiment(id: &str) -> Option<Experiment> {
 }
 
 /// Runs one experiment and collects its result rows.
-pub fn run_experiment(experiment: &Experiment, options: RunOptions) -> ExperimentResult {
-    assert!(options.scale > 0.0, "scale must be positive");
+///
+/// Every sweep coordinate is one [`ScenarioSpec`] built here and run by
+/// [`run_scenario`], so the solver configuration lives in the scenario
+/// runner alone.  The kernel backend and assignment arm come from
+/// `KCENTER_KERNEL` / `KCENTER_ASSIGN` (unset means `auto`); a bad value
+/// is a named error.
+///
+/// # Panics
+///
+/// Panics if `options.scale` is not a finite positive number or
+/// `options.repeats` is 0 (the `repro` binary rejects both up front).
+pub fn run_experiment(
+    experiment: &Experiment,
+    options: RunOptions,
+) -> Result<ExperimentResult, ScenarioError> {
+    assert!(
+        options.scale > 0.0 && options.scale.is_finite(),
+        "scale must be positive"
+    );
     assert!(options.repeats > 0, "at least one repeat is required");
-    let config = MeasureConfig {
-        machines: options.machines,
-        seed: options.seed,
-        epsilon: 0.1,
-    };
-
-    match &experiment.kind {
-        ExperimentKind::Theory => theory_result(experiment, options),
-        ExperimentKind::SolutionValueVsK { spec, ks } => {
-            sweep_k(experiment, spec, ks, false, config, options)
-        }
-        ExperimentKind::RuntimeVsK { spec, ks } => {
-            sweep_k(experiment, spec, ks, true, config, options)
+    let kind = &experiment.kind;
+    let metric = kind.metric();
+    let run = |spec: ScenarioSpec| averaged(spec, metric, options.repeats);
+    let rows = match kind {
+        ExperimentKind::Theory => theory_rows(options.machines),
+        ExperimentKind::SolutionValueVsK { spec, ks } | ExperimentKind::RuntimeVsK { spec, ks } => {
+            let base = paper_spec(experiment.id, vec![spec.scaled(options.scale)], options)?;
+            ks.iter()
+                .map(|&k| {
+                    Ok(ResultRow {
+                        coordinate: format!("k={k}"),
+                        cells: run(ScenarioSpec { k, ..base.clone() })?,
+                    })
+                })
+                .collect::<Result<_, ScenarioError>>()?
         }
         ExperimentKind::RuntimeVsN { specs, k } => {
-            let columns: Vec<String> = Algorithm::paper_trio()
+            let datasets = specs.iter().map(|s| s.scaled(options.scale)).collect();
+            let base = paper_spec(experiment.id, datasets, options)?;
+            let cells = run(ScenarioSpec {
+                k: *k,
+                ..base.clone()
+            })?;
+            base.datasets
                 .iter()
-                .map(Algorithm::label)
-                .collect();
-            let mut rows = Vec::new();
-            for spec in specs {
-                let scaled = spec.scaled(options.scale);
-                let dataset = scaled.build(options.seed);
-                let measurements = Algorithm::paper_trio()
-                    .into_iter()
-                    .map(|a| run_averaged(&dataset.space, a, *k, config, options.repeats))
-                    .collect();
-                rows.push(ResultRow {
-                    coordinate: format!("n={}", scaled.n()),
-                    measurements,
-                });
-            }
-            ExperimentResult {
-                id: experiment.id.to_string(),
-                title: experiment.title.to_string(),
-                columns,
-                is_runtime: true,
-                rows,
-                scale: options.scale,
-            }
+                .zip(cells.chunks(PAPER_TRIO.len()))
+                .map(|(dataset, cells)| ResultRow {
+                    coordinate: format!("n={}", dataset.n()),
+                    cells: cells.to_vec(),
+                })
+                .collect()
         }
-        ExperimentKind::PhiSweep {
-            spec,
-            ks,
-            phis,
-            report_runtime,
-        } => {
-            let scaled = spec.scaled(options.scale);
-            let dataset = scaled.build(options.seed);
-            let columns: Vec<String> = phis.iter().map(|p| format!("phi={p}")).collect();
-            let mut rows = Vec::new();
-            for &k in ks {
-                let measurements = phis
-                    .iter()
-                    .map(|&phi| {
-                        run_averaged(
-                            &dataset.space,
-                            Algorithm::Eim { phi },
-                            k,
-                            config,
-                            options.repeats,
-                        )
+        ExperimentKind::PhiSweep { spec, ks, phis, .. } => {
+            let base = ScenarioSpec {
+                solvers: vec![SolverKind::Eim],
+                ..paper_spec(experiment.id, vec![spec.scaled(options.scale)], options)?
+            };
+            ks.iter()
+                .map(|&k| {
+                    let cells = phis
+                        .iter()
+                        .map(|&phi| {
+                            Ok(run(ScenarioSpec {
+                                k,
+                                phi,
+                                ..base.clone()
+                            })?[0])
+                        })
+                        .collect::<Result<_, ScenarioError>>()?;
+                    Ok(ResultRow {
+                        coordinate: format!("k={k}"),
+                        cells,
                     })
-                    .collect();
-                rows.push(ResultRow {
-                    coordinate: format!("k={k}"),
-                    measurements,
-                });
-            }
-            ExperimentResult {
-                id: experiment.id.to_string(),
-                title: experiment.title.to_string(),
-                columns,
-                is_runtime: *report_runtime,
-                rows,
-                scale: options.scale,
-            }
+                })
+                .collect::<Result<_, ScenarioError>>()?
         }
-    }
-}
-
-fn sweep_k(
-    experiment: &Experiment,
-    spec: &DatasetSpec,
-    ks: &[usize],
-    is_runtime: bool,
-    config: MeasureConfig,
-    options: RunOptions,
-) -> ExperimentResult {
-    let scaled = spec.scaled(options.scale);
-    let dataset = scaled.build(options.seed);
-    let columns: Vec<String> = Algorithm::paper_trio()
-        .iter()
-        .map(Algorithm::label)
-        .collect();
-    let mut rows = Vec::new();
-    for &k in ks {
-        let measurements = Algorithm::paper_trio()
-            .into_iter()
-            .map(|a| run_averaged(&dataset.space, a, k, config, options.repeats))
-            .collect();
-        rows.push(ResultRow {
-            coordinate: format!("k={k}"),
-            measurements,
-        });
-    }
-    ExperimentResult {
+    };
+    Ok(ExperimentResult {
         id: experiment.id.to_string(),
         title: experiment.title.to_string(),
-        columns,
-        is_runtime,
+        columns: kind.columns(),
+        metric,
         rows,
         scale: options.scale,
-    }
+    })
 }
 
-/// Table 1 rendered as an [`ExperimentResult`]: the "measurements" carry the
-/// predicted operation counts in place of measured runtimes.
-fn theory_result(experiment: &Experiment, options: RunOptions) -> ExperimentResult {
-    // Evaluate the formulas at the paper's headline configuration.
-    let n = 1_000_000;
-    let k = 25;
-    let m = options.machines;
-    let rows = cost_model::table1(n, k, m, 0.1)
+/// The scenario the paper's cells run in (`k` is set per sweep coordinate):
+/// the three algorithms on `datasets` at f64 storage on the simulated
+/// executor, with the paper's machine count and ε, the host's cores as the
+/// kernel thread budget, and the kernel backend and assignment arm taken
+/// from the environment.
+fn paper_spec(
+    id: &str,
+    datasets: Vec<DatasetSpec>,
+    options: RunOptions,
+) -> Result<ScenarioSpec, ScenarioError> {
+    let env = |name: &str| std::env::var(name).unwrap_or_default();
+    let kernel = KernelChoice::from_env().map_err(|_| {
+        invalid(
+            KERNEL_ENV,
+            env(KERNEL_ENV),
+            "auto | scalar | portable | avx2",
+        )
+    })?;
+    let assign = AssignChoice::from_env()
+        .map_err(|_| invalid(ASSIGN_ENV, env(ASSIGN_ENV), "auto | dense | grid"))?;
+    Ok(ScenarioSpec {
+        name: id.to_string(),
+        seed: options.seed,
+        k: 1,
+        machines: options.machines,
+        threads: host_parallelism(),
+        epsilon: EPSILON,
+        phi: 8.0,
+        max_attempts: 1,
+        solvers: PAPER_TRIO.to_vec(),
+        precisions: vec![Precision::F64],
+        kernels: vec![kernel],
+        assigns: vec![assign],
+        executors: vec![ExecutorChoice::Simulated],
+        distances: vec![DistanceKind::Euclidean],
+        outliers: vec![0],
+        faults: vec![FaultSpec::None],
+        datasets,
+        ingest: None,
+    })
+}
+
+/// Runs `spec` once per repeat `r` with seed `spec.seed + r` (so each
+/// repeat regenerates the data) and returns every cell's `metric`
+/// averaged over the repeats, in cell order.
+fn averaged(spec: ScenarioSpec, metric: Metric, repeats: usize) -> Result<Vec<f64>, ScenarioError> {
+    let mut sums = vec![0.0; spec.cells().len()];
+    for r in 0..repeats {
+        let report = run_scenario(&ScenarioSpec {
+            seed: spec.seed.wrapping_add(r as u64),
+            ..spec.clone()
+        })?;
+        for (sum, cell) in sums.iter_mut().zip(&report.cells) {
+            *sum += metric.read(cell);
+        }
+    }
+    Ok(sums.into_iter().map(|s| s / repeats as f64).collect())
+}
+
+/// Table 1 evaluated at the paper's headline configuration (n = 1,000,000,
+/// k = 25, ε = 0.1) for `machines` machines: approximation factor, MapReduce
+/// rounds (0 for the sequential GON; EIM's O(1/ε) bound at unit constant,
+/// like the operation counts) and the dominant-term operation count.
+fn theory_rows(machines: usize) -> Vec<ResultRow> {
+    cost_model::table1(1_000_000, 25, machines, EPSILON)
         .into_iter()
         .map(|profile| ResultRow {
             coordinate: profile.name.to_string(),
-            measurements: vec![Measurement {
-                algorithm: profile.name.to_string(),
-                n,
-                k,
-                value: profile.approximation,
-                runtime_seconds: profile.predicted_operations,
-                wall_seconds: profile.predicted_operations,
-                mapreduce_rounds: match profile.rounds {
-                    cost_model::RoundCount::Constant(c) => c as usize,
-                    _ => 0,
+            cells: vec![
+                profile.approximation,
+                match profile.rounds {
+                    RoundCount::NotApplicable => 0.0,
+                    RoundCount::Constant(c) => f64::from(c),
+                    RoundCount::Order(_) => 1.0 / EPSILON,
                 },
-                fell_back_to_sequential: false,
-            }],
+                profile.predicted_operations,
+            ],
         })
-        .collect();
-    ExperimentResult {
-        id: experiment.id.to_string(),
-        title: experiment.title.to_string(),
-        columns: vec!["alpha / rounds / predicted ops".to_string()],
-        is_runtime: false,
-        rows,
-        scale: options.scale,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -508,17 +613,35 @@ mod tests {
     }
 
     #[test]
+    fn labels_match_the_paper() {
+        let trio = vec!["MRG", "EIM", "GON"];
+        for id in ["table2", "figure1", "figure2a", "figure4b"] {
+            assert_eq!(find_experiment(id).unwrap().kind.columns(), trio, "{id}");
+        }
+        let phis = vec!["phi=1", "phi=4", "phi=6", "phi=8"];
+        assert_eq!(find_experiment("table6").unwrap().kind.columns(), phis);
+        assert_eq!(find_experiment("table7").unwrap().kind.columns(), phis);
+        assert_eq!(
+            find_experiment("table1").unwrap().kind.columns(),
+            vec!["alpha", "rounds", "predicted ops"]
+        );
+    }
+
+    #[test]
     fn theory_experiment_reproduces_table1_rows() {
         let exp = find_experiment("table1").unwrap();
-        let result = run_experiment(&exp, RunOptions::default());
+        let result = run_experiment(&exp, RunOptions::default()).unwrap();
+        assert_eq!(result.metric, Metric::Theory);
         assert_eq!(result.rows.len(), 3);
         assert_eq!(result.rows[0].coordinate, "GON");
         assert_eq!(result.rows[1].coordinate, "MRG");
         assert_eq!(result.rows[2].coordinate, "EIM");
-        // Approximation factors in the value slot.
-        assert_eq!(result.rows[0].measurements[0].value, 2.0);
-        assert_eq!(result.rows[1].measurements[0].value, 4.0);
-        assert_eq!(result.rows[2].measurements[0].value, 10.0);
+        let m = RunOptions::default().machines;
+        let ops = |p: &cost_model::AlgorithmProfile| p.predicted_operations;
+        let table1 = cost_model::table1(1_000_000, 25, m, EPSILON);
+        assert_eq!(result.rows[0].cells, vec![2.0, 0.0, ops(&table1[0])]);
+        assert_eq!(result.rows[1].cells, vec![4.0, 2.0, ops(&table1[1])]);
+        assert_eq!(result.rows[2].cells, vec![10.0, 10.0, ops(&table1[2])]);
     }
 
     #[test]
@@ -530,22 +653,18 @@ mod tests {
             repeats: 1,
             seed: 2,
         };
-        let result = run_experiment(&exp, options);
+        let result = run_experiment(&exp, options).unwrap();
         assert_eq!(result.columns, vec!["MRG", "EIM", "GON"]);
         assert_eq!(result.rows.len(), TABLE_KS.len());
         for row in &result.rows {
-            assert_eq!(row.measurements.len(), 3);
-            for m in &row.measurements {
-                assert!(m.value.is_finite());
-                assert!(m.value >= 0.0);
+            assert_eq!(row.cells.len(), 3);
+            for &v in &row.cells {
+                assert!(v.is_finite());
+                assert!(v >= 0.0);
             }
         }
         // Values decrease (weakly) as k grows, as in every paper table.
-        let mrg_values: Vec<f64> = result
-            .rows
-            .iter()
-            .map(|r| r.measurements[0].value)
-            .collect();
+        let mrg_values: Vec<f64> = result.rows.iter().map(|r| r.cells[0]).collect();
         for w in mrg_values.windows(2) {
             assert!(
                 w[1] <= w[0] * 1.5 + 1e-9,
@@ -563,10 +682,14 @@ mod tests {
             repeats: 1,
             seed: 3,
         };
-        let result = run_experiment(&exp, options);
+        let result = run_experiment(&exp, options).unwrap();
         assert_eq!(result.columns.len(), PHIS.len());
         assert_eq!(result.rows.len(), TABLE_KS.len());
-        assert!(!result.is_runtime);
+        assert_eq!(result.metric, Metric::Value);
+        for row in &result.rows {
+            assert_eq!(row.cells.len(), PHIS.len());
+            assert!(row.cells.iter().all(|v| v.is_finite() && *v >= 0.0));
+        }
     }
 
     #[test]
@@ -578,21 +701,42 @@ mod tests {
             repeats: 1,
             seed: 4,
         };
-        let result = run_experiment(&exp, options);
-        assert!(result.is_runtime);
+        let result = run_experiment(&exp, options).unwrap();
+        assert_eq!(result.metric, Metric::Runtime);
         assert_eq!(result.rows.len(), FIGURE4_NS.len());
-        // The sweep coordinate is n and grows monotonically.
-        assert!(result.rows[0].coordinate.starts_with("n="));
+        // The sweep coordinate is n, scaled, in sweep order.
+        let coordinates: Vec<&str> = result.rows.iter().map(|r| r.coordinate.as_str()).collect();
+        assert_eq!(
+            coordinates,
+            vec!["n=20", "n=100", "n=200", "n=1000", "n=2000"]
+        );
+        for row in &result.rows {
+            assert_eq!(row.cells.len(), 3);
+            assert!(row.cells.iter().all(|v| v.is_finite() && *v >= 0.0));
+        }
     }
 
     #[test]
     #[should_panic(expected = "scale must be positive")]
     fn run_experiment_rejects_bad_scale() {
         let exp = find_experiment("table2").unwrap();
-        run_experiment(
+        let _ = run_experiment(
             &exp,
             RunOptions {
                 scale: 0.0,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one repeat")]
+    fn zero_repeats_is_rejected() {
+        let exp = find_experiment("table3").unwrap();
+        let _ = run_experiment(
+            &exp,
+            RunOptions {
+                repeats: 0,
                 ..Default::default()
             },
         );

@@ -1,10 +1,9 @@
 //! The flat-layout micro-benchmark: old pointer-chasing scan vs the new
 //! SoA kernels.
 //!
-//! Both `bench_flat` (Criterion) and the `flat_report` binary (which writes
-//! `BENCH_flat.json`) measure the same operation — one Gonzalez iteration,
-//! i.e. one "relax nearest-center distances against a new center" pass plus
-//! the farthest-point argmax — on the two layouts:
+//! The `flat_report` binary (which writes `BENCH_flat.json`) measures one
+//! Gonzalez iteration, i.e. one "relax nearest-center distances against a
+//! new center" pass plus the farthest-point argmax, on the two layouts:
 //!
 //! * **old**: `Vec<Point>` (one heap allocation per point), Euclidean
 //!   distance with a `sqrt` per point-center pair, separate relax and

@@ -2,7 +2,8 @@
 //!
 //! The output format intentionally mirrors the paper's tables: one row per
 //! sweep coordinate (k, n, or φ), one column per algorithm (or per φ), and
-//! either the solution value or the runtime in seconds in every cell.
+//! either the solution value or the runtime in seconds in every cell
+//! (Table 1: its analytic columns).
 
 use crate::experiments::ExperimentResult;
 use std::fmt::Write as _;
@@ -35,11 +36,7 @@ pub fn render_result(result: &ExperimentResult) -> String {
         out,
         "\n(scale = {}, metric = {})\n",
         result.scale,
-        if result.is_runtime {
-            "runtime in seconds (max simulated machine time per round)"
-        } else {
-            "solution value (covering radius)"
-        }
+        result.metric.describe()
     );
 
     // Header.
@@ -57,12 +54,7 @@ pub fn render_result(result: &ExperimentResult) -> String {
     // Rows.
     for row in &result.rows {
         let _ = write!(out, "| {} |", row.coordinate);
-        for m in &row.measurements {
-            let v = if result.is_runtime {
-                m.runtime_seconds
-            } else {
-                m.value
-            };
+        for &v in &row.cells {
             let _ = write!(out, " {} |", format_value(v));
         }
         let _ = writeln!(out);
@@ -90,44 +82,22 @@ fn sweep_header(result: &ExperimentResult) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{ExperimentResult, ResultRow};
-    use crate::measure::Measurement;
+    use crate::experiments::{find_experiment, run_experiment, Metric, ResultRow, RunOptions};
 
-    fn measurement(label: &str, value: f64, runtime: f64) -> Measurement {
-        Measurement {
-            algorithm: label.to_string(),
-            n: 100,
-            k: 5,
-            value,
-            runtime_seconds: runtime,
-            wall_seconds: runtime,
-            mapreduce_rounds: 2,
-            fell_back_to_sequential: false,
-        }
-    }
-
-    fn sample_result(is_runtime: bool) -> ExperimentResult {
+    fn sample_result(metric: Metric) -> ExperimentResult {
         ExperimentResult {
             id: "table2".to_string(),
             title: "Table 2: sample".to_string(),
             columns: vec!["MRG".to_string(), "EIM".to_string(), "GON".to_string()],
-            is_runtime,
+            metric,
             rows: vec![
                 ResultRow {
                     coordinate: "k=2".to_string(),
-                    measurements: vec![
-                        measurement("MRG", 96.04, 0.01),
-                        measurement("EIM", 93.11, 0.5),
-                        measurement("GON", 95.86, 0.2),
-                    ],
+                    cells: vec![96.04, 93.11, 95.86],
                 },
                 ResultRow {
                     coordinate: "k=25".to_string(),
-                    measurements: vec![
-                        measurement("MRG", 0.961, 0.02),
-                        measurement("EIM", 0.854, 1.5),
-                        measurement("GON", 0.961, 0.9),
-                    ],
+                    cells: vec![0.961, 0.5, 0.961],
                 },
             ],
             scale: 1.0,
@@ -147,7 +117,7 @@ mod tests {
 
     #[test]
     fn render_solution_value_table_contains_all_cells() {
-        let text = render_result(&sample_result(false));
+        let text = render_result(&sample_result(Metric::Value));
         assert!(text.contains("Table 2"));
         assert!(text.contains("| k |"));
         assert!(text.contains("MRG") && text.contains("EIM") && text.contains("GON"));
@@ -158,14 +128,35 @@ mod tests {
 
     #[test]
     fn render_runtime_table_reports_seconds() {
-        let text = render_result(&sample_result(true));
+        let text = render_result(&sample_result(Metric::Runtime));
         assert!(text.contains("runtime in seconds"));
-        assert!(text.contains("0.5000") || text.contains("0.500"));
+        assert!(text.contains("GON: wall clock of the sequential solve"));
+        assert!(text.contains("0.5000"));
+    }
+
+    #[test]
+    fn render_theory_table_prints_alpha_rounds_and_operations() {
+        let table1 = find_experiment("table1").unwrap();
+        let text = render_result(&run_experiment(&table1, RunOptions::default()).unwrap());
+        assert!(text.contains("metric = theoretical"), "{text}");
+        assert!(
+            text.contains("| row | alpha | rounds | predicted ops |"),
+            "{text}"
+        );
+        assert!(text.contains("|---|---|---|---|"), "{text}");
+        // GON: k·n = 2.5e7 operations, no MapReduce rounds.
+        assert!(text.contains("| GON | 2.000 | 0 | 2.500e7 |"), "{text}");
+        // MRG: k·n/m + k²·m = 500,000 + 31,250 at m = 50, in two rounds.
+        assert!(
+            text.contains("| MRG | 4.000 | 2.000 | 531250.00 |"),
+            "{text}"
+        );
+        assert!(text.contains("| EIM | 10.000 | 10.000 |"), "{text}");
     }
 
     #[test]
     fn render_all_concatenates_results() {
-        let text = render_all(&[sample_result(false), sample_result(true)]);
+        let text = render_all(&[sample_result(Metric::Value), sample_result(Metric::Runtime)]);
         assert_eq!(text.matches("Table 2").count(), 2);
     }
 }

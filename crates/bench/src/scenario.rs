@@ -148,7 +148,7 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn invalid(what: &str, value: impl fmt::Display, expected: &str) -> ScenarioError {
+pub(crate) fn invalid(what: &str, value: impl fmt::Display, expected: &str) -> ScenarioError {
     ScenarioError::Invalid {
         what: what.to_string(),
         value: value.to_string(),
@@ -1307,8 +1307,10 @@ pub struct CellResult {
     /// Simulated time (per-round max machine time) in nanoseconds; 0 for
     /// the sequential solvers.
     pub simulated_ns: u128,
-    /// Real wall-clock nanoseconds of the cell's solve (a measurement —
-    /// only gated when a tolerance is passed to the diff).
+    /// Real wall-clock nanoseconds of the cell's solver call alone — not
+    /// data generation or certification; for ingest cells, the
+    /// uninterrupted twin's run (a measurement — only gated when a
+    /// tolerance is passed to the diff).
     pub wall_ns: u128,
     /// FNV-1a 64 digest of the selected center ids, in selection order —
     /// the determinism fingerprint of the cell.
@@ -1411,8 +1413,8 @@ fn run_one_cell(
 
     // Monomorphise on (precision, distance) and run.
     let run =
-        |outcome: Result<(CellOutcome, f64), KCenterError>| -> Result<CellResult, ScenarioError> {
-            let (outcome, kept_radius) =
+        |outcome: Result<(CellOutcome, f64, u128), KCenterError>| -> Result<CellResult, ScenarioError> {
+            let (outcome, kept_radius, wall_ns) =
                 outcome.map_err(|e| invalid("cell", &id, &format!("solver failed: {e}")))?;
             Ok(CellResult {
                 id: id.clone(),
@@ -1432,12 +1434,11 @@ fn run_one_cell(
                 coverage: outcome.coverage,
                 rounds: outcome.rounds,
                 simulated_ns: outcome.simulated_ns,
-                wall_ns: 0, // filled below
+                wall_ns,
                 digest: center_digest(&outcome.centers),
             })
         };
-    let start = Instant::now();
-    let mut result = match (cell.precision, cell.distance) {
+    match (cell.precision, cell.distance) {
         (Precision::F64, DistanceKind::Euclidean) => {
             run(solve_cell::<f64, Euclidean>(spec, cell, executor))
         }
@@ -1450,9 +1451,7 @@ fn run_one_cell(
         (Precision::F32, DistanceKind::Manhattan) => {
             run(solve_cell::<f32, Manhattan>(spec, cell, executor))
         }
-    }?;
-    result.wall_ns = start.elapsed().as_nanos();
-    Ok(result)
+    }
 }
 
 fn run_ingest_cell(
@@ -1461,13 +1460,10 @@ fn run_ingest_cell(
     id: String,
 ) -> Result<CellResult, ScenarioError> {
     install_dispatch(cell.kernel, cell.assign)?;
-    let start = Instant::now();
-    let mut result = match cell.precision {
+    match cell.precision {
         Precision::F64 => ingest_cell_at::<f64>(spec, cell, &id),
         Precision::F32 => ingest_cell_at::<f32>(spec, cell, &id),
-    }?;
-    result.wall_ns = start.elapsed().as_nanos();
-    Ok(result)
+    }
 }
 
 /// Folds the cell's stream through the durable serve loop twice — once
@@ -1515,9 +1511,11 @@ fn ingest_cell_at<S: Scalar>(
     let _ = std::fs::remove_file(&twin_path);
     let twin: Ingestor<Euclidean, S> = Ingestor::new(config(None), &twin_path)
         .map_err(|e| fail(format!("ingest setup failed: {e}")))?;
+    let start = Instant::now();
     let outcome = twin
         .run()
         .map_err(|e| fail(format!("ingest run failed: {e}")))?;
+    let wall_ns = start.elapsed().as_nanos();
 
     // Crash-consistency leg: die mid-write at the middle batch, resume,
     // and require the bit-identical accumulated state.
@@ -1578,18 +1576,19 @@ fn ingest_cell_at<S: Scalar>(
         coverage: outcome.coreset.coverage_fraction(),
         rounds: outcome.meta.rounds as usize,
         simulated_ns: outcome.meta.simulated_ns,
-        wall_ns: 0, // filled by the caller
+        wall_ns,
         digest: center_digest(&solution.centers),
     })
 }
 
 /// Generates the cell's data, runs its solver, and certifies the plain and
-/// kept radii.  Returns the outcome plus the kept radius.
+/// kept radii.  Returns the outcome, the kept radius, and the wall-clock
+/// nanoseconds of the solver call alone.
 fn solve_cell<S: Scalar, D: Distance + Default>(
     spec: &ScenarioSpec,
     cell: &CellConfig,
     executor: Executor,
-) -> Result<(CellOutcome, f64), KCenterError> {
+) -> Result<(CellOutcome, f64, u128), KCenterError> {
     let flat = cell.dataset.generate_flat_at::<S>(spec.seed);
     let space: VecSpace<D, S> = VecSpace::from_flat_with_distance(flat, D::default());
 
@@ -1602,11 +1601,10 @@ fn solve_cell<S: Scalar, D: Distance + Default>(
         ),
     };
 
+    let start = Instant::now();
     let outcome = match cell.solver {
         SolverKind::Gon => {
-            let sol = GonzalezConfig::new(spec.k)
-                .with_parallel_scan(true)
-                .solve(&space)?;
+            let sol = GonzalezConfig::new(spec.k).solve(&space)?;
             CellOutcome {
                 centers: sol.centers,
                 radius: sol.radius,
@@ -1652,6 +1650,7 @@ fn solve_cell<S: Scalar, D: Distance + Default>(
                 .with_phi(spec.phi)
                 .with_epsilon(spec.epsilon)
                 .with_seed(spec.seed)
+                .with_first_center(FirstCenter::Seeded(spec.seed))
                 .with_executor(executor);
             if let Some(faults) = faults {
                 config = config.with_faults(faults);
@@ -1669,13 +1668,14 @@ fn solve_cell<S: Scalar, D: Distance + Default>(
             }
         }
     };
+    let wall_ns = start.elapsed().as_nanos();
 
     let kept_radius = if cell.z > 0 {
         evaluate_with_outliers(&space, &outcome.centers, cell.z).radius
     } else {
         outcome.radius
     };
-    Ok((outcome, kept_radius))
+    Ok((outcome, kept_radius, wall_ns))
 }
 
 // ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@
 //! deterministic metrics.
 //!
 //! The runner installs process-global dispatch state (kernel backend,
-//! assignment arm, thread budget), so every test that runs a scenario
-//! takes the shared lock.
+//! assignment arm, thread budget), so every test that runs a scenario —
+//! the `repro` experiments included — takes the shared lock.
 
 use std::sync::Mutex;
 
+use kcenter_bench::experiments::{find_experiment, run_experiment, RunOptions, TABLE_KS};
 use kcenter_bench::scenario::{
     diff_reports, run_scenario, DiffTolerances, ScenarioError, ScenarioReport, ScenarioSpec,
 };
+use kcenter_core::prelude::*;
+use kcenter_data::DatasetSpec;
+use kcenter_metric::VecSpace;
 
 static RUN_LOCK: Mutex<()> = Mutex::new(());
 
@@ -239,4 +243,94 @@ fn malformed_specs_and_reports_name_their_errors() {
 
     // Display is informative.
     assert!(format!("{err}").contains("cells"));
+}
+
+#[test]
+fn repro_cells_match_the_solvers_run_directly() {
+    let _guard = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The paper's configuration of each algorithm, spelled out once here:
+    // the `repro` value tables must report exactly these radii.
+    let (machines, seed) = (8, 2);
+    let options = RunOptions {
+        scale: 0.005,
+        machines,
+        repeats: 1,
+        seed,
+    };
+    let result = run_experiment(&find_experiment("table3").unwrap(), options).unwrap();
+    let space = VecSpace::from_flat(DatasetSpec::Unif { n: 500 }.generate_flat(seed));
+    assert_eq!(result.rows.len(), TABLE_KS.len());
+    for (row, &k) in result.rows.iter().zip(&TABLE_KS) {
+        let mrg = MrgConfig::new(k)
+            .with_machines(machines)
+            .with_unchecked_capacity()
+            .with_first_center(FirstCenter::Seeded(seed))
+            .run(&space)
+            .unwrap();
+        let eim = EimConfig::new(k)
+            .with_machines(machines)
+            .with_epsilon(0.1)
+            .with_phi(8.0)
+            .with_seed(seed)
+            .with_first_center(FirstCenter::Seeded(seed))
+            .run(&space)
+            .unwrap();
+        let gon = GonzalezConfig::new(k).solve(&space).unwrap();
+        let direct = [mrg.solution.radius, eim.solution.radius, gon.radius];
+        assert_eq!(row.cells, direct, "{}", row.coordinate);
+    }
+}
+
+#[test]
+fn repro_values_of_all_three_algorithms_are_comparable() {
+    let _guard = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let options = RunOptions {
+        scale: 0.0005,
+        machines: 8,
+        repeats: 1,
+        seed: 5,
+    };
+    let result = run_experiment(&find_experiment("table2").unwrap(), options).unwrap();
+    assert_eq!(result.columns.len(), 3);
+    assert_eq!(result.rows.len(), TABLE_KS.len());
+    for row in &result.rows {
+        assert_eq!(row.cells.len(), 3, "{}", row.coordinate);
+        assert!(
+            row.cells.iter().all(|v| v.is_finite() && *v > 0.0),
+            "{}: {:?}",
+            row.coordinate,
+            row.cells
+        );
+        // All three approximate the same optimum within their factors.
+        let (min, max) = (
+            row.cells.iter().copied().fold(f64::INFINITY, f64::min),
+            row.cells.iter().copied().fold(0.0, f64::max),
+        );
+        assert!(
+            max / min < 10.0,
+            "values diverge implausibly at {}: {min} vs {max}",
+            row.coordinate
+        );
+    }
+}
+
+#[test]
+fn repeats_average_over_consecutive_seeds() {
+    let _guard = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let table6 = find_experiment("table6").unwrap();
+    let options = |seed, repeats| RunOptions {
+        scale: 0.002,
+        machines: 4,
+        repeats,
+        seed,
+    };
+    let run = |seed, repeats| run_experiment(&table6, options(seed, repeats)).unwrap();
+    let (first, second, averaged) = (run(7, 1), run(8, 1), run(7, 2));
+    for ((a, b), avg) in first.rows.iter().zip(&second.rows).zip(&averaged.rows) {
+        for ((x, y), z) in a.cells.iter().zip(&b.cells).zip(&avg.cells) {
+            assert_eq!(*z, (x + y) / 2.0, "{}", avg.coordinate);
+        }
+    }
+    // Repeat 1 regenerates the data, so the runs do differ.
+    assert_ne!(first.rows, second.rows);
 }

@@ -275,8 +275,8 @@ fn init_from_env() -> KernelBackend {
     k
 }
 
-/// Overrides the dispatched backend (the CLI `--kernel` flag and the A/B
-/// benches/tests use this).  Fails with a named error when the backend is
+/// Overrides the dispatched backend (the CLI `--kernel` flag, the scenario
+/// runner and the A/B benches/tests use this).  Fails with a named error when the backend is
 /// not available in this build on this machine.
 ///
 /// The override takes effect for subsequent kernel calls process-wide;
